@@ -262,6 +262,7 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
     state(j).addLive(id);
   }
   // The new instance changes the need set of the sender's G-neighbors.
+  guard_.onBcast(inst);
   guardRecomputeBatch(gNbrs.begin(), gNbrs.size());
 }
 
@@ -313,12 +314,19 @@ void MacEngine::apiAbort(NodeId node) {
   ++stats_.aborts;
 
   queue_.cancel(inst.ackEvent);
-  // Pending receives may still fire within epsAbort of the abort.
+  // Pending receives may still fire within epsAbort of the abort; the
+  // rest are cancelled and forgotten.
   const Time cutoff = now() + params_.epsAbort;
-  for (const Instance::PendingDelivery& pd : inst.pending) {
-    if (pd.at > cutoff) queue_.cancel(pd.handle);
-  }
+  std::vector<Instance::PendingDelivery>& pending = inst.pending;
+  pending.erase(std::remove_if(pending.begin(), pending.end(),
+                               [this, cutoff](const auto& pd) {
+                                 if (pd.at <= cutoff) return false;
+                                 queue_.cancel(pd.handle);
+                                 return true;
+                               }),
+                pending.end());
   finishInstance(inst);
+  releaseIfSettled(inst);
 }
 
 void MacEngine::requireEnhanced(const char* api) const {
@@ -417,9 +425,13 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
 void MacEngine::onDeliveryEvent(InstanceId id, NodeId receiver) {
   Instance& inst = instances_[static_cast<std::size_t>(id)];
   inst.removePending(receiver);
-  if (inst.hasDeliveredTo(receiver)) return;  // guard got there first
-  if (inst.terminated && now() > inst.termAt + params_.epsAbort) return;
-  performDelivery(id, receiver, /*forced=*/false);
+  // Skip if the guard got there first, or past an abort's grace window.
+  if (!inst.hasDeliveredTo(receiver) &&
+      !(inst.terminated && now() > inst.termAt + params_.epsAbort)) {
+    performDelivery(id, receiver, /*forced=*/false);
+  }
+  // Index again: the receive callback may have grown instances_.
+  releaseIfSettled(instances_[static_cast<std::size_t>(id)]);
 }
 
 void MacEngine::onAckEvent(InstanceId id) {
@@ -433,6 +445,7 @@ void MacEngine::onAckEvent(InstanceId id) {
   trace_.add({now(), sim::TraceKind::kAck, inst.sender, id, kNoMsg});
   ++stats_.acks;
   finishInstance(inst);
+  releaseIfSettled(inst);
 
   Context ctx(*this, inst.sender);
   state(inst.sender).process->onAck(ctx, inst.packet);
@@ -441,6 +454,7 @@ void MacEngine::onAckEvent(InstanceId id) {
 void MacEngine::finishInstance(Instance& inst) {
   NodeState& sender = state(inst.sender);
   if (sender.current == inst.id) sender.current = kNoInstance;
+  guard_.onTerminate(inst);
 
   // The instance no longer contends anywhere; coverage intervals it
   // provided are now capped at termAt, so re-evaluate the neighborhood.
@@ -463,6 +477,14 @@ void MacEngine::finishInstance(Instance& inst) {
     if (!csr_->hasPrimeEdge(inst.sender, j)) batchScratch_.push_back(j);
   }
   guardRecomputeBatch(batchScratch_.data(), batchScratch_.size());
+}
+
+void MacEngine::releaseIfSettled(Instance& inst) {
+  // No delivery can happen after this point, so neither vector's
+  // contents matter any more.
+  if (!inst.terminated || !inst.pending.empty()) return;
+  std::vector<Instance::PendingDelivery>().swap(inst.pending);
+  std::vector<NodeId>().swap(inst.requiredG);
 }
 
 void MacEngine::onEpochBoundary(int e) {
@@ -517,22 +539,27 @@ void MacEngine::onEpochBoundary(int e) {
     scrubEvaluate(0, instances_.size());
   }
   for (std::size_t i = 0; i < instances_.size(); ++i) {
+    if (scrubDrops_[i].empty()) continue;
     for (const Instance::PendingDelivery& pd : scrubDrops_[i]) {
       queue_.cancel(pd.handle);
       instances_[i].removePending(pd.target);
     }
+    releaseIfSettled(instances_[i]);
   }
 
-  // Rebuild the live-instance lists from the new E' neighborhoods: a
-  // live instance contends exactly at its sender's current neighbors.
+  // Rebuild the live-instance lists and the guard's need windows from
+  // the new neighborhoods: a live instance contends exactly at its
+  // sender's current E' neighbors and obliges its current G-neighbors.
   for (NodeState& ns : nodes_) {
     ns.liveNear.clear();
   }
+  guard_.clearNeeds();
   for (const Instance& inst : instances_) {
     if (inst.terminated) continue;
     for (NodeId j : csr_->pNeighbors(inst.sender)) {
       state(j).addLive(inst.id);
     }
+    guard_.addNeeds(inst);
   }
 
   // Need sets may have shrunk (links gone) or gained a later live-since

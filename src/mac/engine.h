@@ -168,13 +168,6 @@ class MacEngine : public MacLayer {
   const EngineStats& stats() const { return stats_; }
   NodeId n() const override { return view_->n(); }
 
-  /// Start of the maximal run of epochs ending now throughout which
-  /// {u, v} ∈ E; kTimeNever when the link is not live right now.  The
-  /// progress guard quantifies its need windows from this instant.
-  Time gEdgeLiveSince(NodeId u, NodeId v) const {
-    return view_->gEdgeLiveSince(epoch_, u, v);
-  }
-
   /// All instances ever created, indexed by InstanceId.
   const std::vector<Instance>& instances() const { return instances_; }
   const Instance& instance(InstanceId id) const;
@@ -240,6 +233,9 @@ class MacEngine : public MacLayer {
   void onDeliveryEvent(InstanceId id, NodeId receiver);
   void onAckEvent(InstanceId id);
   void finishInstance(Instance& instance);
+  /// Frees a terminated instance's `pending` and `requiredG` storage
+  /// once no delivery of it is pending any more.
+  void releaseIfSettled(Instance& instance);
   void forceProgressDelivery(NodeId receiver);
   void onEpochBoundary(int e);
 

@@ -32,7 +32,7 @@ struct Instance {
   Time bcastAt = 0;
 
   /// Ack time chosen by the scheduler's plan (may be preempted by an
-  /// abort).  Used by the progress guard as the planned termination.
+  /// abort).  The progress guard's need windows end Fprog before it.
   Time plannedAck = 0;
 
   /// Actual termination (ack or abort) once it happened.
@@ -47,7 +47,9 @@ struct Instance {
   /// array; removal is a swap-remove, so iteration order is the
   /// deterministic insertion/removal history.  Lookups are linear:
   /// the array holds at most the sender's E' degree and is usually
-  /// near-empty by the time anything probes it.
+  /// near-empty by the time anything probes it.  The engine frees its
+  /// storage, and requiredG's, once the instance is terminated and
+  /// nothing is pending.
   struct PendingDelivery {
     NodeId target = kNoNode;
     Time at = 0;
@@ -127,9 +129,6 @@ struct Instance {
     deliveredTo.reserve(planned);
     deliveredSorted_.reserve(planned);
   }
-
-  /// Current best knowledge of when the instance terminates.
-  Time plannedTermination() const { return terminated ? termAt : plannedAck; }
 
  private:
   /// deliveredTo, kept sorted for O(log) membership.

@@ -1,51 +1,71 @@
 #include "mac/progress_guard.h"
 
 #include <algorithm>
-#include <vector>
+#include <limits>
 
 #include "mac/engine.h"
 
 namespace ammb::mac {
 
-namespace {
-
-/// A closed integer interval [lo, hi]; hi == kTimeNever means +infinity.
-struct Interval {
-  Time lo;
-  Time hi;
-};
-
-void sortByLo(std::vector<Interval>& xs) {
-  std::sort(xs.begin(), xs.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-}
-
-/// Sorts and merges overlapping/adjacent intervals in place.  Dense
-/// neighborhoods (stars, cliques) produce many near-identical need
-/// intervals; merging keeps the cover scan linear instead of
-/// quadratic.
-void normalize(std::vector<Interval>& xs) {
-  sortByLo(xs);
-  std::size_t out = 0;
-  for (const Interval& x : xs) {
-    if (out > 0 && x.lo <= xs[out - 1].hi + 1) {
-      xs[out - 1].hi = std::max(xs[out - 1].hi, x.hi);
-    } else {
-      xs[out++] = x;
-    }
-  }
-  xs.resize(out);
-}
-
-}  // namespace
-
 ProgressGuard::ProgressGuard(MacEngine& engine, NodeId n)
     : engine_(engine), states_(static_cast<std::size_t>(n)) {}
+
+void ProgressGuard::onBcast(const Instance& inst) {
+  AMMB_ASSERT(inst.id == static_cast<InstanceId>(termAt_.size()));
+  termAt_.push_back(kTimeNever);
+  addNeeds(inst);
+}
+
+void ProgressGuard::addNeeds(const Instance& inst) {
+  const graph::TopologyView& view = *engine_.view_;
+  const Time hi = inst.plannedAck - engine_.params().fprog - 1;
+  for (NodeId j : engine_.csr_->gNeighbors(inst.sender)) {
+    // Windows are quantified over the link's continuous live span: an
+    // E-edge that came up after the bcast obliges the model only from
+    // then on (the offline checker applies the same rule per span).  A
+    // single-epoch view's links are live since t = 0.
+    const Time liveSince =
+        view.dynamic() ? view.gEdgeLiveSince(engine_.epoch_, inst.sender, j)
+                       : 0;
+    if (liveSince == kTimeNever) continue;
+    const Time lo = std::max(inst.bcastAt, liveSince);
+    if (hi < lo) continue;
+    std::vector<Need>& needs = states_[static_cast<std::size_t>(j)].needs;
+    // At bcast lo == now(), so this appends; only the epoch rebuild
+    // inserts mid-list.
+    const auto at = std::upper_bound(
+        needs.begin(), needs.end(), lo,
+        [](Time x, const Need& nd) { return x < nd.lo; });
+    needs.insert(at, Need{inst.id, lo, hi});
+  }
+}
+
+void ProgressGuard::onTerminate(const Instance& inst) {
+  termAt_[static_cast<std::size_t>(inst.id)] = inst.termAt;
+  while (oldestLive_ < static_cast<InstanceId>(termAt_.size()) &&
+         termAt_[static_cast<std::size_t>(oldestLive_)] != kTimeNever) {
+    ++oldestLive_;
+  }
+  // The windows were added at the sender's G-neighbors of the current
+  // epoch (a boundary re-adds them), so that span holds all of them.
+  for (NodeId j : engine_.csr_->gNeighbors(inst.sender)) {
+    std::vector<Need>& needs = states_[static_cast<std::size_t>(j)].needs;
+    const auto it =
+        std::find_if(needs.begin(), needs.end(), [&inst](const Need& nd) {
+          return nd.instance == inst.id;
+        });
+    if (it != needs.end()) needs.erase(it);
+  }
+}
+
+void ProgressGuard::clearNeeds() {
+  for (State& st : states_) st.needs.clear();
+}
 
 void ProgressGuard::onReceive(NodeId receiver, InstanceId instance, Time at) {
   states_[static_cast<std::size_t>(receiver)].covers.push_back(
       Cover{at, instance});
-  if (!engine_.instance(instance).terminated) {
+  if (termAt_[static_cast<std::size_t>(instance)] == kTimeNever) {
     // Fast path: the new cover is [at - fprog, +inf) while `instance`
     // is live, and the guard invariant keeps every uncovered window
     // start >= now - fprog (an older uncovered start would have had
@@ -64,49 +84,26 @@ void ProgressGuard::onReceive(NodeId receiver, InstanceId instance, Time at) {
 
 Time ProgressGuard::earliestUncovered(NodeId receiver) const {
   const Time fprog = engine_.params().fprog;
-
-  // Need set: window starts demanded by live instances of G-neighbors.
-  // Quantified over the link's continuous live span: an E-edge that
-  // appeared (or reappeared) after the bcast only obliges the model
-  // from the epoch it came up, and one that is down right now obliges
-  // nothing (the offline checker applies the same rule per span).
-  //
-  // thread_local scratch: evaluate() is the hot inner loop (once per
-  // G-neighbor per broadcast) and runs concurrently on kernel workers,
-  // so the scratch is per-thread rather than per-guard.  The set is
-  // rebuilt from scratch each call; only the capacity persists, which
-  // is unobservable in results.
-  thread_local std::vector<Interval> need;
-  need.clear();
-  for (InstanceId id : engine_.liveInstancesNear(receiver)) {
-    const Instance& inst = engine_.instance(id);
-    if (inst.terminated) continue;
-    const Time liveSince = engine_.gEdgeLiveSince(inst.sender, receiver);
-    if (liveSince == kTimeNever) continue;
-    const Time lo = std::max(inst.bcastAt, liveSince);
-    const Time hi = inst.plannedAck - fprog - 1;
-    if (hi >= lo) need.push_back({lo, hi});
-  }
-  if (need.empty()) return kTimeNever;
-  normalize(need);
-
-  // Cover set: window starts already satisfied by past receives.  The
-  // covers vector is appended in receive-time order, so it is already
-  // sorted by interval start (rcvAt - fprog) — scan it directly.
   const State& st = states_[static_cast<std::size_t>(receiver)];
-  for (const Interval& nd : need) {
-    Time t = nd.lo;
-    for (const Cover& c : st.covers) {
-      if (t > nd.hi) break;
-      const Time lo = c.rcvAt - fprog;
-      if (lo > t) break;  // sorted: no later cover can contain t
-      const Instance& inst = engine_.instance(c.instance);
-      const Time hi = inst.terminated ? inst.termAt - 1 : kTimeNever;
-      if (hi >= t) {
-        t = (hi == kTimeNever) ? nd.hi + 1 : hi + 1;
-      }
+
+  // One merged pass over the need windows (sorted by start) and the
+  // covers (sorted by start, being in receive order).  Invariant: every
+  // need point below t is covered, and every consumed cover ends below
+  // t — so the next cover either contains t, ends below it, or starts
+  // after it, in which case no cover contains t.
+  Time t = std::numeric_limits<Time>::min();
+  std::size_t next = 0;
+  for (const Need& nd : st.needs) {
+    t = std::max(t, nd.lo);
+    while (t <= nd.hi) {
+      if (next == st.covers.size()) return t;
+      const Cover& c = st.covers[next];
+      if (c.rcvAt - fprog > t) return t;
+      ++next;
+      const Time term = termAt_[static_cast<std::size_t>(c.instance)];
+      if (term == kTimeNever) return kTimeNever;  // covers t onwards
+      t = std::max(t, term);                      // covers up to term - 1
     }
-    if (t <= nd.hi) return t;
   }
   return kTimeNever;
 }
@@ -124,10 +121,10 @@ void ProgressGuard::commit(NodeId receiver, Time t) {
   State& st = states_[static_cast<std::size_t>(receiver)];
   if (t == kTimeNever) {
     if (st.armedEvent != 0) {
-      // No obligation left; stand down.
+      // No obligation left; stand down.  The queued deadline event is
+      // not cancelled: when it fires, onDeadline re-validates against
+      // the guard state of that moment.
       st.armedDeadline = kTimeNever;
-      // Cancellation may fail if the event is mid-flight; onDeadline
-      // re-validates, so that is harmless.
       st.armedEvent = 0;
     }
     return;
@@ -163,19 +160,25 @@ void ProgressGuard::onDeadline(NodeId receiver) {
 
 void ProgressGuard::pruneCovers(NodeId receiver) {
   State& st = states_[static_cast<std::size_t>(receiver)];
-  if (st.covers.size() < 128) return;
-  // No live or future instance can demand window starts earlier than
-  // now - fack, so finite covers that end before that are dead weight.
-  const Time floor = engine_.now() - engine_.params().fack;
+  if (st.covers.size() < st.pruneAt) return;
+  // No live or future need window starts before the floor (see the
+  // header comment), so finite covers ending before it are dead.
+  Time floor = engine_.now() - engine_.params().fack;
+  if (oldestLive_ < static_cast<InstanceId>(termAt_.size())) {
+    floor = std::min(
+        floor,
+        engine_.instances_[static_cast<std::size_t>(oldestLive_)].bcastAt);
+  }
   // In-place compaction (order-preserving, allocation-free); the
   // retained capacity is unobservable in results.
   std::size_t out = 0;
   for (const Cover& c : st.covers) {
-    const Instance& inst = engine_.instance(c.instance);
-    if (inst.terminated && inst.termAt - 1 < floor) continue;
+    const Time term = termAt_[static_cast<std::size_t>(c.instance)];
+    if (term != kTimeNever && term - 1 < floor) continue;
     st.covers[out++] = c;
   }
   st.covers.resize(out);
+  st.pruneAt = std::max(kMinPrune, 2 * out);
 }
 
 }  // namespace ammb::mac

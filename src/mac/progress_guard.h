@@ -9,21 +9,59 @@
 // makes *any* scheduler's execution compliant: it tracks, per receiver,
 //
 //   need  = union over live instances π with sender in N_G(j) of
-//           [bcastAt(π), plannedTerm(π) - Fprog - 1]      (window starts)
+//           [max(bcastAt(π), liveSince), plannedAck(π) - Fprog - 1]
 //   cover = union over rcv events (d, π') at j of
 //           [d - Fprog, term(π') - 1]   (term = +inf while π' is live)
 //
-// and whenever some t in need \ cover exists, arms a deadline at
-// t + Fprog.  If the deadline arrives and t is still uncovered, the
-// guard forces a delivery from a live contending instance chosen by the
-// scheduler (Scheduler::pickProgressDelivery).  A candidate always
-// exists: if every live contending instance had already delivered to j,
-// t would be covered.
+// where liveSince is the start of the link's continuous E-span (an
+// edge that came up after the bcast only obliges the model from then
+// on).  Whenever some t in need \ cover exists, the guard arms a
+// deadline at t + Fprog.  If the deadline arrives and t is still
+// uncovered, it forces a delivery from a live contending instance
+// chosen by the scheduler (Scheduler::pickProgressDelivery).  A
+// candidate always exists: if every live contending instance had
+// already delivered to j, t would be covered.
+//
+// Cached need windows.  A window depends only on its instance's
+// bcastAt and plannedAck and on its link's live-since instant, and all
+// three are fixed from the moment the instance joins j's live list
+// until it leaves it or the epoch changes.  So each (receiver, live
+// instance) window is computed once — at bcast, and again when an
+// epoch boundary rebuilds the live lists — and dropped when the
+// instance terminates.  Every new window starts at now(), at or after
+// every window already held, so appending keeps each receiver's list
+// sorted by start; the rebuild inserts in order.  Termination times
+// live in one dense array indexed by instance id (kTimeNever while
+// live), so reading a cover's end never touches an Instance record.
+// One evaluation is then a single merged pass over the sorted need
+// windows and the receive-ordered covers: O(live windows + covers).
+//
+// Cover pruning.  A cover that ends before every window start the
+// receiver can still be asked for is dead weight.  Every such start
+// lies at or after
+//
+//   floor = min(now - Fack, bcastAt of the oldest live instance):
+//
+// a live instance's windows start at or after its bcastAt (even after
+// an epoch rebuild re-clips them), and an instance born later starts
+// its windows at its own bcast, which is at or after now.  Ids are
+// issued in bcast order, so the oldest live instance is the first id
+// whose termination time is still kTimeNever; a cursor over the dense
+// array tracks it.  A cover ending before the floor can therefore
+// never contain a need point, and dropping it cannot change any
+// evaluation's result, whenever pruning runs.  With plan validation on
+// every live instance acks within Fack of its bcast, so its bcastAt is
+// at least now - Fack and the floor is just now - Fack; the second
+// term matters when a mutation fixture keeps instances live longer.
+// Pruning runs when a receiver's cover list reaches twice the length
+// the previous prune left (at least kMinPrune), which keeps the list
+// proportional to its live covers at amortized O(1) cost per receive.
 //
 // The same interval algebra, applied offline to a finished trace, is
 // the progress-bound check in trace_checker.h.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/types.h"
@@ -32,11 +70,29 @@
 namespace ammb::mac {
 
 class MacEngine;
+struct Instance;
 
 /// Per-receiver progress-bound bookkeeping; owned by the engine.
 class ProgressGuard {
  public:
   ProgressGuard(MacEngine& engine, NodeId n);
+
+  /// Registers a freshly planned instance: its (live) termination slot,
+  /// and a need window at each current G-neighbor of its sender.
+  void onBcast(const Instance& inst);
+
+  /// Records `inst`'s termination (inst.termAt) and drops its need
+  /// windows.  Runs on the event thread, before the neighborhood's
+  /// guard batch.
+  void onTerminate(const Instance& inst);
+
+  /// Epoch boundary: drops every cached need window.  The engine then
+  /// re-adds the windows of each live instance with addNeeds(), under
+  /// the new epoch's adjacency and live-since instants.
+  void clearNeeds();
+
+  /// Adds `inst`'s need windows at its sender's current G-neighbors.
+  void addNeeds(const Instance& inst);
 
   /// Records a receive event at `receiver` caused by `instance`.
   void onReceive(NodeId receiver, InstanceId instance, Time at);
@@ -48,7 +104,7 @@ class ProgressGuard {
 
   /// The read half of recompute(): prunes `receiver`'s dead covers and
   /// returns its earliest uncovered window start (kTimeNever if none).
-  /// Touches only receiver-local guard state plus engine state that no
+  /// Touches only receiver-local guard state plus state that no
   /// commit mutates, so evaluations for *distinct* receivers may run
   /// concurrently — this is the surface MacEngine's batched guard
   /// passes fan out over the parallel kernel.
@@ -62,12 +118,23 @@ class ProgressGuard {
   void commit(NodeId receiver, Time earliestUncovered);
 
  private:
+  /// Smallest cover-list length that triggers a prune.
+  static constexpr std::size_t kMinPrune = 16;
+
   struct Cover {
     Time rcvAt;
     InstanceId instance;
   };
+  /// One live instance's window of obligated starts, [lo, hi].
+  struct Need {
+    InstanceId instance;
+    Time lo;
+    Time hi;
+  };
   struct State {
-    std::vector<Cover> covers;
+    std::vector<Need> needs;    ///< sorted by lo
+    std::vector<Cover> covers;  ///< in receive order, so sorted by start
+    std::size_t pruneAt = kMinPrune;
     sim::EventHandle armedEvent = 0;
     Time armedDeadline = kTimeNever;
   };
@@ -78,11 +145,15 @@ class ProgressGuard {
   /// Fires when an armed deadline is reached.
   void onDeadline(NodeId receiver);
 
-  /// Drops covers that can no longer matter.
+  /// Drops covers that can no longer matter (see the header comment).
   void pruneCovers(NodeId receiver);
 
   MacEngine& engine_;
   std::vector<State> states_;
+  /// Termination time per instance id; kTimeNever while live.
+  std::vector<Time> termAt_;
+  /// First id whose termAt_ is still kTimeNever (termAt_.size() if none).
+  InstanceId oldestLive_ = 0;
 };
 
 }  // namespace ammb::mac

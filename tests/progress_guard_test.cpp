@@ -4,6 +4,10 @@
 // the offline checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "check/fuzzer.h"
+#include "core/experiment.h"
 #include "graph/generators.h"
 #include "mac/engine.h"
 #include "mac/schedulers.h"
@@ -216,6 +220,122 @@ TEST(ProgressGuard, AbortCancelsTheObligation) {
   EXPECT_EQ(engine.stats().rcvs, 0u);
   const auto check = checkTrace(topo, params, engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
+}
+
+// Cover pruning must never drop a cover that a live instance can still
+// need.  With plan validation off, a scheduler may keep an instance
+// live past Fack: here even senders ack at bcast + 2 Fack, odd senders
+// almost at once, every G delivery waits for the ack, and the guard's
+// forced deliveries come from the instance that terminates first.  A
+// prune floor of now - Fack then falls after the window starts of the
+// long-lived instances, and dropping the covers behind it would surface
+// an uncovered window start whose deadline has already passed.  The
+// run must drain cleanly, with the over-long acks as the only axiom
+// the checker flags.
+TEST(ProgressGuard, PruningKeepsCoversOfInstancesLiveBeyondFack) {
+  class SkewedAcks : public Scheduler {
+   public:
+    DeliveryPlan planBcast(const Instance& inst) override {
+      const MacParams& p = engine_->params();
+      DeliveryPlan plan;
+      plan.ackAt = inst.bcastAt +
+                   (inst.sender % 2 == 0 ? 2 * p.fack : p.fprog + 1);
+      for (NodeId j : engine_->topology().g().neighbors(inst.sender)) {
+        plan.deliveries.push_back({j, plan.ackAt});
+      }
+      return plan;
+    }
+    InstanceId pickProgressDelivery(
+        NodeId, const std::vector<InstanceId>& candidates) override {
+      // Candidates are sorted by id, so min_element keeps the oldest
+      // among equal planned acks.
+      return *std::min_element(
+          candidates.begin(), candidates.end(),
+          [this](InstanceId a, InstanceId b) {
+            return engine_->instance(a).plannedAck <
+                   engine_->instance(b).plannedAck;
+          });
+    }
+  };
+
+  constexpr NodeId kN = 40;
+  graph::Graph clique(kN);
+  for (NodeId u = 0; u < kN; ++u) {
+    for (NodeId v = u + 1; v < kN; ++v) clique.addEdge(u, v);
+  }
+  clique.finalize();
+  const auto topo = gen::identityDual(std::move(clique));
+
+  core::RunConfig config;
+  config.mac = stdParams(4, 32);
+  config.scheduler.factory = [] { return std::make_unique<SkewedAcks>(); };
+  config.scheduler.validatePlans = false;
+  config.limits.stopOnSolve = false;
+  core::Experiment experiment(topo, core::bmmbProtocol(),
+                              core::workloadRoundRobin(20, kN), config);
+  core::RunResult result;
+  ASSERT_NO_THROW(result = experiment.run());
+  EXPECT_EQ(result.status, sim::RunStatus::kDrained);
+  EXPECT_TRUE(result.solved);
+
+  const auto check = checkTrace(topo, config.mac, experiment.trace());
+  EXPECT_FALSE(check.ok);
+  for (const Violation& v : check.records) {
+    EXPECT_EQ(v.axiom, "ack-bound") << v.detail;
+  }
+}
+
+// Honest runs whose receivers hear more than 128 receives on average —
+// the regime where cover pruning fires over and over — pinned to trace
+// hashes and forced-delivery counts recorded with a guard that rebuilt
+// its need set on every evaluation and pruned only at 128 covers.  The
+// field is dense enough that guard batches reach the parallel kernel's
+// fan-out size, so parallel:4 evaluates concurrently and must still
+// match.
+TEST(ProgressGuard, DenseReceiversKeepTheirTracesAcrossPruning) {
+  struct Pin {
+    core::SchedulerKind scheduler;
+    bool drift;
+    std::uint64_t traceHash;
+    std::uint64_t forcedRcvs;
+  };
+  const Pin pins[] = {
+      {core::SchedulerKind::kAdversarial, false, 0x728cab58e443b750ull, 768},
+      {core::SchedulerKind::kAdversarial, true, 0x80f2a0bb5a958bebull, 768},
+      {core::SchedulerKind::kRandom, false, 0x02181c0aa197b37eull, 0},
+      {core::SchedulerKind::kRandom, true, 0xbc7bf381178ef42full, 0},
+  };
+  for (const Pin& pin : pins) {
+    for (const char* kernel : {"serial", "parallel:4"}) {
+      check::FuzzCase c;
+      c.topology = check::TopologyFamily::kGreyZoneField;
+      c.n = 96;
+      c.greyAvgDegree = 40.0;
+      c.greyP = 0.6;
+      c.k = 8;
+      c.workload = check::WorkloadShape::kRoundRobin;
+      c.scheduler = pin.scheduler;
+      c.mac = stdParams(4, 32);
+      if (pin.drift) {
+        c.dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
+        c.dynamics.epochs = 4;
+        c.dynamics.period = 48;
+        c.dynamics.churn = 0.3;
+      }
+      c.kernel = sim::KernelSpec::fromLabel(kernel);
+      c.maxTime = check::bmmbFuzzTimeBudget(c.n, c.k, c.mac.fack);
+      c.seed = 7;
+      const std::string what = check::toString(c);
+      const check::ExecutionOutcome out = check::runCase(c);
+      ASSERT_TRUE(out.error.empty()) << what << ": " << out.error;
+      EXPECT_TRUE(out.report.ok) << what << ": " << out.report.summary();
+      EXPECT_TRUE(out.result.solved) << what;
+      EXPECT_GT(out.result.stats.rcvs, 128u * static_cast<std::uint64_t>(c.n))
+          << what;
+      EXPECT_EQ(out.traceHash, pin.traceHash) << what;
+      EXPECT_EQ(out.result.stats.forcedRcvs, pin.forcedRcvs) << what;
+    }
+  }
 }
 
 }  // namespace
