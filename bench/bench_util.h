@@ -37,11 +37,9 @@ inline double peakRssMb() {
 }
 
 #ifdef AMMB_BENCH_COUNT_ALLOCS
-/// Run-phase allocation counters, fed by the replacement operator new
-/// below.  Relaxed atomics keep the totals exact (orderings don't
-/// matter) under a worker pool.
+/// Run-phase allocation counter, fed by the replacement operator new
+/// below.
 inline std::atomic<std::uint64_t> g_allocOps{0};
-inline std::atomic<std::uint64_t> g_allocBytes{0};
 #endif
 
 /// One row of a paper-style results table.
@@ -134,7 +132,6 @@ inline Time mustSolveCell(const runner::CellAggregate& cell) {
 namespace ammb::bench::detail {
 inline void* countedAlloc(std::size_t size) {
   g_allocOps.fetch_add(1, std::memory_order_relaxed);
-  g_allocBytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }

@@ -68,13 +68,9 @@ std::string toString(const FuzzCase& fuzzCase) {
   if (!fuzzCase.dynamics.isStatic()) {
     out << " dynamics=" << fuzzCase.dynamics.label();
   }
-  // Same default-omission rule for the kernel (serial cases print as
-  // they always did; parallel is a pure wall-clock knob anyway).
-  if (fuzzCase.kernel.parallel()) {
-    out << " kernel=" << fuzzCase.kernel.label();
-  }
-  // And for the MAC realization: abstract cases print as they always
-  // did, realized cases name the full CSMA parameter vector.
+  // Same default-omission rule for the MAC realization: abstract cases
+  // print as they always did, realized cases name the full CSMA
+  // parameter vector.
   if (!fuzzCase.realization.abstract()) {
     out << " mac=" << fuzzCase.realization.label();
   }
@@ -190,10 +186,10 @@ FuzzCase sampleCase(const FuzzSpec& spec, int iteration) {
 
   // Reaction rotation: a third of the *dynamic* honest cases arm the
   // churn-reaction layer (retransmit-on-recovery for BMMB, the remis
-  // schedule rebase for FMMB).  Like the kernel/realization rotations
-  // below this is a pure function of already-sampled fields plus the
-  // iteration index — no case-RNG draws — so every other field keeps
-  // its pre-reaction value.  Static cases stay reaction-free: without
+  // schedule rebase for FMMB).  Like the realization and trace-backend
+  // rotations below this is a pure function of already-sampled fields
+  // plus the iteration index — no case-RNG draws — so every other field
+  // keeps its pre-reaction value.  Static cases stay reaction-free: without
   // epoch boundaries the layer is dead code and the sampled corpus
   // (and its golden headers) should not change.
   if (spec.mutation == SchedulerMutation::kNone && !c.dynamics.isStatic() &&
@@ -201,15 +197,6 @@ FuzzCase sampleCase(const FuzzSpec& spec, int iteration) {
     c.reaction.kind = c.protocol == core::ProtocolKind::kFmmb
                           ? core::ReactionSpec::Kind::kRetransmitRemis
                           : core::ReactionSpec::Kind::kRetransmit;
-  }
-
-  // Kernel rotation: a pure function of the iteration index, drawing
-  // nothing from the case RNG — so every other sampled field keeps the
-  // exact value the pre-kernel sampler produced for the same seed, and
-  // the golden-case suite (all serial) is untouched.  A quarter of the
-  // campaign runs on parallel kernels with 2..4 workers.
-  if (iteration % 4 == 3) {
-    c.kernel = sim::KernelSpec::parallelWith(2 + iteration % 3);
   }
 
   // MAC-realization rotation: also a pure function of the iteration
@@ -233,11 +220,9 @@ FuzzCase sampleCase(const FuzzSpec& spec, int iteration) {
 
   // Trace-backend rotation: a quarter of the campaign records through
   // the disk spool (small buffer, so replay/flush seams are exercised
-  // even on short runs).  Like the kernel this is a pure storage knob
-  // — every other field, each oracle verdict, and the trace hash are
-  // unchanged — so the rotation is a spool parity sweep for free.  The
-  // offset keeps it out of phase with the kernel rotation (%4==3), so
-  // spool cases cover serial kernels and parallel cases cover "mem".
+  // even on short runs).  This is a pure storage knob — every other
+  // field, each oracle verdict, and the trace hash are unchanged — so
+  // the rotation is a spool parity sweep for free.
   if (iteration % 4 == 1) {
     c.traceMode = sim::TraceMode::spool(4096);
   }
@@ -351,7 +336,6 @@ core::RunConfig runConfigFor(const FuzzCase& c) {
   config.limits.stopOnSolve = c.stopOnSolve;
   config.limits.maxTime = c.maxTime;
   config.limits.maxEvents = c.maxEvents;
-  config.kernel = c.kernel;
   config.traceMode = c.traceMode;
   config.realization = c.realization;
   return config;
@@ -435,7 +419,6 @@ FuzzResult runFuzz(const FuzzSpec& spec) {
     ++result.coverage["topology:" + toString(fuzzCase.topology)];
     ++result.coverage["workload:" + toString(fuzzCase.workload)];
     ++result.coverage["scheduler:" + core::toString(fuzzCase.scheduler)];
-    ++result.coverage["kernel:" + fuzzCase.kernel.label()];
     ++result.coverage["mac:" + fuzzCase.realization.label()];
     ++result.coverage["reaction:" + fuzzCase.reaction.label()];
     ++result.coverage["trace:" + fuzzCase.traceMode.label()];

@@ -76,12 +76,6 @@ struct FuzzCase {
   /// epoch-aware engine reconciliation and oracles get fuzz coverage).
   core::DynamicsSpec dynamics;
 
-  /// Intra-run execution kernel.  The sampler rotates a slice of the
-  /// campaign onto parallel kernels; since parallel execution is
-  /// bit-identical to serial, every oracle, trace hash, and golden
-  /// comparison doubles as a determinism check of the kernel seam.
-  sim::KernelSpec kernel;
-
   /// MAC realization.  The sampler rotates a slice of the BMMB campaign
   /// onto the physical CSMA/CA layer, so the contention scheduler and
   /// its analytic envelope get adversarial-workload coverage; the

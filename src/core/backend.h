@@ -13,7 +13,7 @@
 //     bounds by the same checkers the simulator uses.
 //
 // Value-semantic tagged label type in the mould of mac::MacRealization
-// and sim::KernelSpec: canonical label()/fromLabel() round-trip
+// and sim::TraceMode: canonical label()/fromLabel() round-trip
 // ("sim" | "net" | "net:<port>,<loss>,<tickUs>,<attempts>,<ackDelay>,
 // <jitterUs>"), so sweep specs, CLI flags, and run records all speak
 // one spelling.  core does not depend on src/net/ — only

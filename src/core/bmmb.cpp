@@ -26,7 +26,7 @@ void BmmbProcess::onEpochChange(mac::Context& ctx,
   // contained it, so nothing in the base protocol will ever re-offer
   // it.  Re-enqueue the whole `sent` set (receivers dedup, so already-
   // covered messages cost one useless packet each at worst), ascending
-  // MsgId for kernel-independent determinism, one budget unit apiece.
+  // MsgId for a deterministic re-arm order, one budget unit apiece.
   if (reaction_.none() || !change.gainedG) return;
   std::vector<MsgId> rearm(sent_.begin(), sent_.end());
   // The in-flight queue head is as stale as the sent set: its delivery

@@ -219,7 +219,7 @@ Experiment::Experiment(const graph::DualGraph& topology,
   AMMB_REQUIRE(scheduler != nullptr, "scheduler factory returned null");
   engine_ = std::make_unique<mac::MacEngine>(
       view_, config_.mac, std::move(scheduler), factory, config_.seed,
-      config_.recordTrace, config_.kernel, config_.traceMode);
+      config_.recordTrace, sim::KernelSpec{}, config_.traceMode);
   engine_->setPlanValidation(config_.scheduler.validatePlans);
   engine_->setEpochNotification(config_.scheduler.notifyEpochChanges);
   if (auto* bmmb = std::get_if<BmmbSuite>(&suite_)) {

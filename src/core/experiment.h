@@ -188,9 +188,7 @@ struct RunConfig {
   /// committed record sequence is identical either way, so hashes,
   /// goldens and checker verdicts never depend on it.
   sim::TraceMode traceMode;
-  /// Intra-run execution kernel (serial by default).  Parallel kernels
-  /// are bit-identical to serial — same traces, stats and RNG draws at
-  /// any worker count — so this is purely a wall-clock knob.
+  /// Ignored; see sim::KernelSpec in mac/engine.h.
   sim::KernelSpec kernel;
   /// Physical MAC realization (abstract by default).  A non-abstract
   /// realization replaces the scheduler axis — phys::PhysScheduler

@@ -24,7 +24,7 @@
 // The reaction is part of the protocol (it changes results), so it
 // rides on ProtocolSpec / the sweep "reactions" axis and is applied
 // before spec fingerprinting — mirroring the MAC realization, not the
-// kernel.
+// trace mode.
 #pragma once
 
 #include <cstdint>

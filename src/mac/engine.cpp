@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "graph/partition.h"
-
 namespace ammb::mac {
-
-namespace {
-
-/// Below this many receivers a guard batch runs inline: dispatching to
-/// the pool costs more than the interval scans it would spread.
-constexpr std::size_t kGuardGrain = 32;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Scheduler default behaviour
@@ -87,26 +77,25 @@ void Context::abortBcast() { layer_.apiAbort(node_); }
 MacEngine::MacEngine(const graph::TopologyView& view, MacParams params,
                      std::unique_ptr<Scheduler> scheduler,
                      ProcessFactory factory, std::uint64_t seed,
-                     bool traceEnabled, sim::KernelSpec kernel,
+                     bool traceEnabled, sim::KernelSpec,
                      sim::TraceMode traceMode)
     : MacEngine(std::nullopt, &view, params, std::move(scheduler),
-                std::move(factory), seed, traceEnabled, kernel, traceMode) {}
+                std::move(factory), seed, traceEnabled, traceMode) {}
 
 MacEngine::MacEngine(const graph::DualGraph& topology, MacParams params,
                      std::unique_ptr<Scheduler> scheduler,
                      ProcessFactory factory, std::uint64_t seed,
-                     bool traceEnabled, sim::KernelSpec kernel,
+                     bool traceEnabled, sim::KernelSpec,
                      sim::TraceMode traceMode)
     : MacEngine(graph::TopologyView(topology), nullptr, params,
                 std::move(scheduler), std::move(factory), seed, traceEnabled,
-                kernel, traceMode) {}
+                traceMode) {}
 
 MacEngine::MacEngine(std::optional<graph::TopologyView> owned,
                      const graph::TopologyView* view, MacParams params,
                      std::unique_ptr<Scheduler> scheduler,
                      ProcessFactory factory, std::uint64_t seed,
-                     bool traceEnabled, sim::KernelSpec kernel,
-                     sim::TraceMode traceMode)
+                     bool traceEnabled, sim::TraceMode traceMode)
     : ownedView_(std::move(owned)),
       view_(view != nullptr ? view : &*ownedView_),
       csr_(&view_->csrAt(0)),
@@ -114,16 +103,10 @@ MacEngine::MacEngine(std::optional<graph::TopologyView> owned,
       scheduler_(std::move(scheduler)),
       trace_(traceEnabled, traceMode),
       guard_(*this, view_->n()),
-      schedulerRng_(SeedSequence(seed).childSeed(rngstream::kScheduler, 0)),
-      kernel_(kernel) {
+      schedulerRng_(SeedSequence(seed).childSeed(rngstream::kScheduler, 0)) {
   params_.validate();
   AMMB_REQUIRE(scheduler_ != nullptr, "a scheduler is required");
   AMMB_REQUIRE(factory != nullptr, "a process factory is required");
-  // parallel:1 degenerates to the serial loops; skip the pool and its
-  // dispatch latching entirely.
-  if (kernel_.parallel() && kernel_.resolvedWorkers() > 1) {
-    pool_ = std::make_unique<sim::ParallelKernel>(kernel_.resolvedWorkers());
-  }
 
   const SeedSequence seeds(seed);
   nodes_.reserve(static_cast<std::size_t>(n()));
@@ -263,7 +246,7 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
   }
   // The new instance changes the need set of the sender's G-neighbors.
   guard_.onBcast(inst);
-  guardRecomputeBatch(gNbrs.begin(), gNbrs.size());
+  for (NodeId j : gNbrs) guard_.recompute(j);
 }
 
 bool MacEngine::apiBusy(NodeId node) const {
@@ -465,18 +448,15 @@ void MacEngine::finishInstance(Instance& inst) {
   for (NodeId j : pNbrs) {
     state(j).removeLive(inst.id);
   }
+  for (NodeId j : pNbrs) guard_.recompute(j);
   // Termination also caps this instance's cover intervals at termAt —
   // including covers held by receivers the sender can no longer reach
   // (their link dropped, or the sender crashed, since the delivery).
   // Static topologies never add such extras: deliveredTo is always a
-  // subset of the sender's E' neighborhood there.  The extras are
-  // disjoint from pNbrs, so one batch recomputes each receiver once,
-  // in the same order the two original loops did.
-  batchScratch_.assign(pNbrs.begin(), pNbrs.end());
+  // subset of the sender's E' neighborhood there.
   for (NodeId j : inst.deliveredTo) {
-    if (!csr_->hasPrimeEdge(inst.sender, j)) batchScratch_.push_back(j);
+    if (!csr_->hasPrimeEdge(inst.sender, j)) guard_.recompute(j);
   }
-  guardRecomputeBatch(batchScratch_.data(), batchScratch_.size());
 }
 
 void MacEngine::releaseIfSettled(Instance& inst) {
@@ -500,31 +480,22 @@ void MacEngine::onEpochBoundary(int e) {
   // voids the acknowledgment guarantee for that receiver.  The ack
   // itself always fires as planned: a crashed sender simply stops
   // delivering (its radio is down), it does not lose its automaton.
-  //
-  // The scan splits into a per-instance evaluate phase (pure adjacency
-  // probes + instance-local shrinks, fanned out to the kernel pool)
-  // and a serial commit phase that cancels the voided events in
-  // instance order.  Dropping pending entries in reverse-index order
-  // reproduces the layout history of the original single in-place
-  // reverse scan, because a swap-remove during a reverse scan only
-  // ever moves already-visited elements.
-  if (scrubDrops_.size() < instances_.size()) {
-    scrubDrops_.resize(instances_.size());
-  }
-  const auto scrubEvaluate = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      Instance& inst = instances_[i];
-      std::vector<Instance::PendingDelivery>& drops = scrubDrops_[i];
-      drops.clear();
-      const NodeId s = inst.sender;
-      // Scrub vanished-link deliveries even for aborted instances:
-      // their epsAbort grace window may still hold scheduled events.
-      for (std::size_t p = inst.pending.size(); p-- > 0;) {
-        if (!csr_->hasPrimeEdge(s, inst.pending[p].target)) {
-          drops.push_back(inst.pending[p]);
-        }
-      }
-      if (inst.terminated) continue;
+  for (Instance& inst : instances_) {
+    const NodeId s = inst.sender;
+    // Scrub vanished-link deliveries even for aborted instances: their
+    // epsAbort grace window may still hold scheduled events.  A
+    // swap-remove during a back-to-front scan only moves entries the
+    // scan has already kept.
+    std::vector<Instance::PendingDelivery>& pending = inst.pending;
+    bool dropped = false;
+    for (std::size_t p = pending.size(); p-- > 0;) {
+      if (csr_->hasPrimeEdge(s, pending[p].target)) continue;
+      queue_.cancel(pending[p].handle);
+      if (p + 1 != pending.size()) pending[p] = pending.back();
+      pending.pop_back();
+      dropped = true;
+    }
+    if (!inst.terminated) {
       std::vector<NodeId>& req = inst.requiredG;
       req.erase(std::remove_if(
                     req.begin(), req.end(),
@@ -532,19 +503,7 @@ void MacEngine::onEpochBoundary(int e) {
                 req.end());
       inst.pendingGDeliveries = static_cast<int>(req.size());
     }
-  };
-  if (pool_ != nullptr && instances_.size() >= 2 * kGuardGrain) {
-    pool_->forEachRange(instances_.size(), kGuardGrain, scrubEvaluate);
-  } else {
-    scrubEvaluate(0, instances_.size());
-  }
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (scrubDrops_[i].empty()) continue;
-    for (const Instance::PendingDelivery& pd : scrubDrops_[i]) {
-      queue_.cancel(pd.handle);
-      instances_[i].removePending(pd.target);
-    }
-    releaseIfSettled(instances_[i]);
+    if (dropped) releaseIfSettled(inst);
   }
 
   // Rebuild the live-instance lists and the guard's need windows from
@@ -570,15 +529,14 @@ void MacEngine::onEpochBoundary(int e) {
   // no event sequence numbers.  Skipping them is therefore
   // trace-identical to the full-n pass (the committed golden traces
   // and the churn_grid sweep baseline pin this down).
-  guardRecomputeWeighted(view_->touchedAt(e));
+  for (NodeId j : view_->touchedAt(e)) guard_.recompute(j);
 
-  // Finally, tell the automatons.  This runs serially in ascending
-  // node order at the very end of the (serial) boundary commit, so a
-  // reaction that broadcasts re-arms through the ordinary apiBcast
-  // path and consumes event sequence numbers identically on every
-  // kernel.  Per-node G gain/loss flags come from merging the two
-  // epochs' sorted adjacency over the touched superset; untouched
-  // nodes have identical neighborhoods by construction.
+  // Finally, tell the automatons, in ascending node order at the very
+  // end of the boundary, so a reaction that broadcasts re-arms through
+  // the ordinary apiBcast path.  Per-node G gain/loss flags come from
+  // merging the two epochs' sorted adjacency over the touched
+  // superset; untouched nodes have identical neighborhoods by
+  // construction.
   if (!epochNotifications_) return;
   const graph::CsrSnapshot& prev = view_->csrAt(e - 1);
   const std::vector<NodeId>& touched = view_->touchedAt(e);
@@ -610,58 +568,6 @@ void MacEngine::onEpochBoundary(int e) {
     }
     Context ctx(*this, v);
     state(v).process->onEpochChange(ctx, change);
-  }
-}
-
-void MacEngine::guardRecomputeBatch(const NodeId* nodes, std::size_t count) {
-  if (pool_ == nullptr || count < 2 * kGuardGrain) {
-    for (std::size_t i = 0; i < count; ++i) guard_.recompute(nodes[i]);
-    return;
-  }
-  // Evaluate in parallel (receiver-local cover pruning + read-only
-  // interval scans), then commit serially in batch order.  A commit
-  // only changes the committing receiver's armed state and the event
-  // queue, neither of which evaluate() reads — so evaluate(j) before
-  // commit(i) equals evaluate(j) after it, and the serial commit loop
-  // consumes event sequence numbers exactly as the plain recompute
-  // loop would.
-  guardEval_.resize(count);
-  pool_->forEachRange(
-      count, kGuardGrain, [this, nodes](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          guardEval_[i] = guard_.evaluate(nodes[i]);
-        }
-      });
-  for (std::size_t i = 0; i < count; ++i) {
-    guard_.commit(nodes[i], guardEval_[i]);
-  }
-}
-
-void MacEngine::guardRecomputeWeighted(const std::vector<NodeId>& nodes) {
-  if (pool_ == nullptr || nodes.size() < 2 * kGuardGrain) {
-    for (NodeId j : nodes) guard_.recompute(j);
-    return;
-  }
-  // Epoch boundaries hand us receivers with wildly uneven live sets;
-  // cut the batch at the live-weight quantiles instead of uniform
-  // ranges so no worker inherits all the hub nodes.
-  guardWeights_.clear();
-  guardWeights_.reserve(nodes.size());
-  for (NodeId j : nodes) {
-    guardWeights_.push_back(
-        static_cast<std::uint64_t>(state(j).liveNear.size()) + 1);
-  }
-  const std::vector<std::size_t> bounds = graph::balancedBoundaries(
-      guardWeights_, pool_->workers() * 2);
-  guardEval_.resize(nodes.size());
-  pool_->forBoundaries(
-      bounds, [this, &nodes](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          guardEval_[i] = guard_.evaluate(nodes[i]);
-        }
-      });
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    guard_.commit(nodes[i], guardEval_[i]);
   }
 }
 

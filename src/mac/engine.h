@@ -34,8 +34,17 @@
 #include "mac/progress_guard.h"
 #include "mac/scheduler.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_kernel.h"
 #include "sim/trace.h"
+
+namespace ammb::sim {
+
+/// An empty placeholder for the removed intra-run kernel option.  It
+/// stays only because the benchmark harness under perfbench/ still
+/// passes `RunConfig::kernel` as MacEngine's seventh argument; it goes,
+/// with that argument, in the next change to the benchmark.
+struct KernelSpec {};
+
+}  // namespace ammb::sim
 
 namespace ammb::mac {
 
@@ -72,11 +81,9 @@ class MacEngine : public MacLayer {
 
   /// Wires the system together and schedules the wake events at t=0
   /// plus one internal transition event per topology epoch.  The view
-  /// must outlive the engine.  `kernel` selects the intra-run
-  /// execution kernel; parallel kernels produce bit-identical traces,
-  /// stats and RNG streams at any worker count (evaluations fan out,
-  /// commits stay in serial order).  `traceMode` selects the record
-  /// storage backend (in-memory vector or disk spool — sim/trace.h).
+  /// must outlive the engine.  The sim::KernelSpec argument is ignored.
+  /// `traceMode` selects the record storage backend (in-memory vector
+  /// or disk spool — sim/trace.h).
   MacEngine(const graph::TopologyView& view, MacParams params,
             std::unique_ptr<Scheduler> scheduler, ProcessFactory factory,
             std::uint64_t seed, bool traceEnabled = true,
@@ -179,13 +186,6 @@ class MacEngine : public MacLayer {
   /// RNG stream reserved for the scheduler.
   Rng& schedulerRng() { return schedulerRng_; }
 
-  /// The kernel this engine executes on.
-  const sim::KernelSpec& kernel() const { return kernel_; }
-
-  /// Workers actually running batch evaluations (1 on the serial
-  /// kernel or a one-worker parallel kernel).
-  int kernelWorkers() const { return pool_ != nullptr ? pool_->workers() : 1; }
-
   /// Live instances whose sender is a G'-neighbor of `node` (i.e., the
   /// instances that may legally deliver to `node` right now).
   const std::vector<InstanceId>& liveInstancesNear(NodeId node) const;
@@ -239,21 +239,10 @@ class MacEngine : public MacLayer {
   void forceProgressDelivery(NodeId receiver);
   void onEpochBoundary(int e);
 
-  /// Recomputes the progress guard for `nodes` in order.  Above a
-  /// small batch the parallel kernel evaluates concurrently (read-only
-  /// per-receiver interval scans) and commits serially in the same
-  /// order the serial loop would — so event sequence numbers, traces
-  /// and RNG streams are identical at any worker count.
-  void guardRecomputeBatch(const NodeId* nodes, std::size_t count);
-  /// Same, but partitions by per-receiver liveNear weight (epoch
-  /// boundaries touch receivers with wildly uneven live sets).
-  void guardRecomputeWeighted(const std::vector<NodeId>& nodes);
-
   MacEngine(std::optional<graph::TopologyView> owned,
             const graph::TopologyView* view, MacParams params,
             std::unique_ptr<Scheduler> scheduler, ProcessFactory factory,
-            std::uint64_t seed, bool traceEnabled, sim::KernelSpec kernel,
-            sim::TraceMode traceMode);
+            std::uint64_t seed, bool traceEnabled, sim::TraceMode traceMode);
 
   NodeState& state(NodeId node);
   const NodeState& state(NodeId node) const;
@@ -283,22 +272,6 @@ class MacEngine : public MacLayer {
   std::unordered_map<TimerId, sim::EventHandle> timers_;
   TimerId nextTimer_ = 1;
 
-  // Intra-run kernel ------------------------------------------------------
-  sim::KernelSpec kernel_;
-  /// Worker pool; null on the serial kernel (and on parallel:1, where
-  /// the pool would add latching overhead for nothing).
-  std::unique_ptr<sim::ParallelKernel> pool_;
-  /// Scratch: per-receiver evaluate() results of a parallel batch,
-  /// consumed by the serial commit loop.
-  std::vector<Time> guardEval_;
-  /// Scratch: partition weights for guardRecomputeWeighted.
-  std::vector<std::uint64_t> guardWeights_;
-  /// Scratch: receiver batch assembled by finishInstance.
-  std::vector<NodeId> batchScratch_;
-  /// Scratch: per-instance voided pending deliveries collected by the
-  /// epoch-boundary scrub's evaluate phase (slot i belongs exclusively
-  /// to instance i, so the parallel phase writes race-free).
-  std::vector<std::vector<Instance::PendingDelivery>> scrubDrops_;
   /// Scratch: sorted receiver ids for validatePlan (replaces a
   /// per-call unordered_set).
   mutable std::vector<NodeId> planScratch_;

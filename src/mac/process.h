@@ -125,7 +125,7 @@ class Process {
 
   /// The engine crossed an epoch boundary (dynamic topologies only).
   /// Fired for every node, serially in ascending node id, so reactions
-  /// that broadcast re-arm deterministically on any kernel.
+  /// that broadcast re-arm deterministically.
   virtual void onEpochChange(Context& ctx, const EpochChange& change) {
     (void)ctx;
     (void)change;

@@ -108,13 +108,9 @@ Time ProgressGuard::earliestUncovered(NodeId receiver) const {
   return kTimeNever;
 }
 
-Time ProgressGuard::evaluate(NodeId receiver) {
-  pruneCovers(receiver);
-  return earliestUncovered(receiver);
-}
-
 void ProgressGuard::recompute(NodeId receiver) {
-  commit(receiver, evaluate(receiver));
+  pruneCovers(receiver);
+  commit(receiver, earliestUncovered(receiver));
 }
 
 void ProgressGuard::commit(NodeId receiver, Time t) {

@@ -82,8 +82,7 @@ class ProgressGuard {
   void onBcast(const Instance& inst);
 
   /// Records `inst`'s termination (inst.termAt) and drops its need
-  /// windows.  Runs on the event thread, before the neighborhood's
-  /// guard batch.
+  /// windows.  Runs before the neighborhood's deadlines are recomputed.
   void onTerminate(const Instance& inst);
 
   /// Epoch boundary: drops every cached need window.  The engine then
@@ -98,24 +97,9 @@ class ProgressGuard {
   void onReceive(NodeId receiver, InstanceId instance, Time at);
 
   /// Re-evaluates the deadline for `receiver` (called after instance
-  /// birth, termination, or a receive affecting `receiver`).
-  /// Equivalent to commit(receiver, evaluate(receiver)).
+  /// birth, termination, or a receive affecting `receiver`): prunes its
+  /// dead covers, then arms, re-arms or stands down its deadline.
   void recompute(NodeId receiver);
-
-  /// The read half of recompute(): prunes `receiver`'s dead covers and
-  /// returns its earliest uncovered window start (kTimeNever if none).
-  /// Touches only receiver-local guard state plus state that no
-  /// commit mutates, so evaluations for *distinct* receivers may run
-  /// concurrently — this is the surface MacEngine's batched guard
-  /// passes fan out over the parallel kernel.
-  Time evaluate(NodeId receiver);
-
-  /// The write half: arms / re-arms / stands down `receiver`'s
-  /// deadline for an evaluate() result.  Schedules queue events, so it
-  /// must run on the event thread, in the same receiver order the
-  /// serial recompute loop would use — that order is what keeps event
-  /// insertion sequences (and hence traces) bit-identical.
-  void commit(NodeId receiver, Time earliestUncovered);
 
  private:
   /// Smallest cover-list length that triggers a prune.
@@ -141,6 +125,11 @@ class ProgressGuard {
 
   /// Earliest uncovered window start in the need set, or kTimeNever.
   Time earliestUncovered(NodeId receiver) const;
+
+  /// Arms / re-arms / stands down `receiver`'s deadline for an
+  /// earliestUncovered() result.  Scheduling a deadline consumes an
+  /// event sequence number, so callers keep a fixed receiver order.
+  void commit(NodeId receiver, Time earliestUncovered);
 
   /// Fires when an armed deadline is reached.
   void onDeadline(NodeId receiver);

@@ -13,8 +13,8 @@
 // implementation; only core::Experiment reaches into phys/ to
 // instantiate the simulator.
 //
-// Like sim::KernelSpec, the realization is value-semantic with a
-// canonical label() / fromLabel() spelling shared by the sweep-spec
+// The realization is value-semantic with a canonical label() /
+// fromLabel() spelling shared by the sweep-spec
 // codec (the "mac" key), the run-record codec, the `ammb_sweep --mac`
 // flag and the fuzzer's case descriptions.
 #pragma once

@@ -26,8 +26,7 @@
 //
 // Every draw comes from the engine's scheduler RNG stream, so CSMA
 // executions are bit-for-bit reproducible from (topology, params,
-// seed) and identical at any parallel-kernel worker count, exactly
-// like the abstract schedulers.
+// seed), exactly like the abstract schedulers.
 //
 // The engine still validates every plan online against its MacParams.
 // csmaEnvelopeParams() computes the analytic worst case of every plan

@@ -4,13 +4,6 @@ namespace ammb::runner {
 
 namespace {
 
-std::vector<std::string> getKernel(const SpecDoc& doc) {
-  return {doc.kernel.label()};
-}
-void setKernel(SpecDoc& doc, const std::string& label, bool) {
-  doc.kernel = sim::KernelSpec::fromLabel(label);
-}
-
 std::vector<std::string> getRealization(const SpecDoc& doc) {
   return {doc.realization.label()};
 }
@@ -45,41 +38,33 @@ void setTraceMode(SpecDoc& doc, const std::string& label, bool) {
   doc.traceMode = sim::TraceMode::fromLabel(label);
 }
 
-constexpr std::array<AxisCodec, 5> makeTable() {
+constexpr std::array<AxisCodec, 4> makeTable() {
   return {{
-      // kernel: pure wall-clock knob, bit-identical results; the only
-      // axis whose override may apply after fingerprinting and whose
-      // record key is written even at the default (it predates
-      // elision; changing that would churn every journal and shard).
-      {"kernel", "kernel", "--kernel", "kernel", "serial",
-       /*resultBearing=*/false, /*recordElided=*/false, /*multi=*/false,
-       getKernel, setKernel, &RunRecord::kernel},
       {"mac", "mac", "--mac", "mac_realization", "abstract",
-       /*resultBearing=*/true, /*recordElided=*/true, /*multi=*/false,
-       getRealization, setRealization, &RunRecord::realization},
+       /*resultBearing=*/true, /*multi=*/false, getRealization,
+       setRealization, &RunRecord::realization},
       // reaction: a grid axis, not a scalar — list-valued in specs and
       // CLI, recorded per run as the react_idx coordinate rather than
       // a label.
       {"reaction", "reactions", "--reaction", nullptr, "none",
-       /*resultBearing=*/true, /*recordElided=*/true, /*multi=*/true,
-       getReactions, setReaction, nullptr},
+       /*resultBearing=*/true, /*multi=*/true, getReactions, setReaction,
+       nullptr},
       {"backend", "backend", "--backend", "backend", "sim",
-       /*resultBearing=*/true, /*recordElided=*/true, /*multi=*/false,
-       getBackend, setBackend, &RunRecord::backend},
-      // trace: a pure storage knob like the kernel — the committed
-      // record sequence (and every hash/verdict derived from it) is
-      // identical across backends, so the override applies after
-      // fingerprinting and the keys elide at "mem".
+       /*resultBearing=*/true, /*multi=*/false, getBackend, setBackend,
+       &RunRecord::backend},
+      // trace: a pure storage knob — the committed record sequence
+      // (and every hash/verdict derived from it) is identical across
+      // backends, so the override applies after fingerprinting.
       {"trace", "trace_mode", "--trace-mode", "trace_mode", "mem",
-       /*resultBearing=*/false, /*recordElided=*/true, /*multi=*/false,
-       getTraceMode, setTraceMode, &RunRecord::traceMode},
+       /*resultBearing=*/false, /*multi=*/false, getTraceMode,
+       setTraceMode, &RunRecord::traceMode},
   }};
 }
 
 }  // namespace
 
-const std::array<AxisCodec, 5>& axisCodecs() {
-  static const std::array<AxisCodec, 5> table = makeTable();
+const std::array<AxisCodec, 4>& axisCodecs() {
+  static const std::array<AxisCodec, 4> table = makeTable();
   return table;
 }
 
@@ -128,7 +113,7 @@ void emitRecordAxes(json::Object& o, const RunRecord& record) {
   for (const AxisCodec& codec : axisCodecs()) {
     if (codec.recordField == nullptr) continue;
     const std::string& label = record.*codec.recordField;
-    if (codec.recordElided && label == codec.defaultLabel) continue;
+    if (label == codec.defaultLabel) continue;
     o.emplace_back(codec.recordKey, label);
   }
 }

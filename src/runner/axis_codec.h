@@ -4,10 +4,9 @@
 // with a canonical label()/fromLabel() round-trip, a default whose
 // label is elided from canonical serializations, a spec-file key, an
 // `ammb_sweep run` override flag, and (for the per-run ones) a
-// provenance key in run records:
+// provenance key in run records, likewise elided at the default:
 //
 //   axis      spec key      CLI flag      record key         default
-//   kernel    "kernel"      --kernel      "kernel"           "serial"
 //   mac       "mac"         --mac         "mac_realization"  "abstract"
 //   reaction  "reactions"   --reaction    (react_idx coord)  "none"
 //   backend   "backend"     --backend     "backend"          "sim"
@@ -16,20 +15,21 @@
 // Before this table existed, each of those cells was a hand-rolled
 // copy in spec_io.cpp (parse + canonical writer), sweep_main.cpp
 // (override plumbing and fingerprint ordering), and emit.cpp (record
-// codec).  Adding the backend axis would have been a fifth copy-paste
+// codec).  Adding the backend axis would have been another copy-paste
 // sweep; instead the table is the single place an axis declares its
 // spellings, and the call sites loop.
 //
-// Two classifications matter:
-//   * resultBearing — whether the axis changes results.  Result-bearing
-//     overrides (mac, reaction, backend) are applied to the SpecDoc
-//     BEFORE the spec fingerprint is taken, so an overridden campaign
-//     can never merge/resume against the base spec's shards.  The
-//     kernel is bit-identical by contract and applies after.
-//   * recordElided — whether the record key is omitted at the default
-//     label.  "kernel" predates elision and is always written; the
-//     newer keys elide so every record file written before they
-//     existed parses and re-serializes byte-identically.
+// One classification matters: resultBearing — whether the axis changes
+// results.  Result-bearing overrides (mac, reaction, backend) are
+// applied to the SpecDoc BEFORE the spec fingerprint is taken, so an
+// overridden campaign can never merge/resume against the base spec's
+// shards.  The trace storage knob commits the same record sequence
+// either way and applies after.
+//
+// Record keys elide at the default so every record file written before
+// an axis existed parses and re-serializes byte-identically.  Readers
+// ignore unknown keys, so records that still carry the removed
+// "kernel" provenance key parse too (and re-serialize without it).
 #pragma once
 
 #include <array>
@@ -43,13 +43,12 @@
 namespace ammb::runner {
 
 struct AxisCodec {
-  const char* axis;          ///< short name ("kernel", "mac", ...)
+  const char* axis;          ///< short name ("mac", "backend", ...)
   const char* specKey;       ///< spec-file JSON key
   const char* cliFlag;       ///< `ammb_sweep run` override flag
   const char* recordKey;     ///< run-record JSON key (nullptr: none)
   const char* defaultLabel;  ///< canonical default; elided when equal
   bool resultBearing;        ///< override applies before fingerprinting
-  bool recordElided;         ///< record key omitted at the default
   bool multi;                ///< list axis (JSON array / comma CLI)
 
   /// Canonical labels of the axis in `doc` (exactly one for single
@@ -65,7 +64,7 @@ struct AxisCodec {
 };
 
 /// The table, in canonical (spec-key emission and record-key) order.
-const std::array<AxisCodec, 5>& axisCodecs();
+const std::array<AxisCodec, 4>& axisCodecs();
 
 /// Lookup by axis name; throws on unknown names.
 const AxisCodec& axisCodec(const std::string& axis);
@@ -82,7 +81,7 @@ void emitSpecAxis(json::Object& root, const SpecDoc& doc,
                   const AxisCodec& codec);
 
 /// Record-codec halves: write the provenance keys of every axis with a
-/// recordField (in table order, honoring recordElided), and read them
+/// recordField (in table order, elided at the default), and read them
 /// back (all optional, defaulting, so pre-axis record files parse).
 void emitRecordAxes(json::Object& o, const RunRecord& record);
 void parseRecordAxes(RunRecord& record, const json::Value& value,

@@ -281,10 +281,10 @@ json::Value recordToJson(const RunRecord& record) {
     o.emplace_back("react_idx", record.point.reactIdx);
   }
   o.emplace_back("seed", static_cast<std::int64_t>(record.point.seed));
-  // Execution-axis provenance (kernel, mac_realization, backend) via
-  // the shared codec table; result-bearing axes are elided at their
-  // defaults so record files written before each field existed — and
-  // every abstract/sim shard or journal — keep their exact bytes.
+  // Execution-axis provenance (mac_realization, backend, trace_mode)
+  // via the shared codec table, elided at the defaults so record files
+  // written before each field existed — and every abstract/sim/mem
+  // shard or journal — keep their exact bytes.
   emitRecordAxes(o, record);
   if (record.realized.measured()) {
     Object realized;
@@ -379,7 +379,8 @@ RunRecord recordFromJson(const json::Value& value,
       member(value, "seed", context).asInt(context + ".seed"));
   // Every execution-axis key is optional for compatibility with record
   // files written before that axis existed; absent keys keep the
-  // RunRecord defaults ("serial" / "abstract" / "sim").
+  // RunRecord defaults ("mem" / "abstract" / "sim").  Unknown keys are
+  // ignored, so records carrying the removed "kernel" key still parse.
   parseRecordAxes(record, value, context);
   if (const Value* realized = value.find("realized"); realized != nullptr) {
     const std::string rc = context + ".realized";

@@ -469,9 +469,9 @@ SpecDoc parseSpec(const std::string& jsonText) {
     AMMB_REQUIRE(!doc.dynamics.empty(),
                  "spec.dynamics must not be an empty array");
   }
-  // The tagged-label execution axes (kernel / mac / reactions /
-  // backend) all parse through the axis table: one optional key each,
-  // defaulting, with errors naming the full key path.
+  // The tagged-label execution axes (mac / reactions / backend /
+  // trace_mode) all parse through the axis table: one optional key
+  // each, defaulting, with errors naming the full key path.
   for (const AxisCodec& codec : axisCodecs()) {
     if (codec.multi) {
       const Value* entriesValue = f.find(codec.specKey);
@@ -683,10 +683,9 @@ std::string writeSpec(const SpecDoc& doc) {
   root.emplace_back("discipline", toString(doc.discipline));
   root.emplace_back("lower_bound_line_length", doc.lowerBoundLineLength);
   // Emitted only when non-default, so every existing spec's canonical
-  // serialization (and fingerprint) is stable.  The kernel is a pure
-  // wall-clock knob; "mac" and "backend" change results, so when
-  // present they *are* part of the fingerprint.
-  emitSpecAxis(root, doc, axisCodec("kernel"));
+  // serialization (and fingerprint) is stable.  "mac" and "backend"
+  // change results, so when present they *are* part of the
+  // fingerprint.
   emitSpecAxis(root, doc, axisCodec("mac"));
   emitSpecAxis(root, doc, axisCodec("backend"));
   emitSpecAxis(root, doc, axisCodec("trace"));
@@ -775,7 +774,6 @@ SweepSpec buildSweep(const SpecDoc& doc) {
   spec.maxEvents = doc.maxEvents;
   spec.discipline = doc.discipline;
   spec.lowerBoundLineLength = doc.lowerBoundLineLength;
-  spec.kernel = doc.kernel;
   spec.traceMode = doc.traceMode;
   spec.realization = doc.realization;
   spec.backend = doc.backend;

@@ -52,7 +52,6 @@
 //     "stop_on_solve": true, "record_trace": false, "check": "off",
 //     "max_time": null, "max_events": 100000000,
 //     "discipline": "fifo", "lower_bound_line_length": 0,
-//     "kernel": "serial" | "parallel" | "parallel:N",
 //     "mac": "abstract" | "csma" |
 //            "csma:<slot>,<cwMin>,<cwMax>,<maxRetries>,<pCapture>",
 //     "backend": "sim" | "net" | "net:<basePort>,<loss>,<tickUs>,
@@ -148,9 +147,9 @@ struct SpecDoc {
   std::vector<DynamicsDoc> dynamics = {DynamicsDoc{"static", {}}};
   /// Churn-reaction axis; defaults to one reaction-free point when the
   /// spec file omits the key.  Serialized only when non-default, so
-  /// pre-existing specs keep their canonical form; like "mac" (and
-  /// unlike "kernel") a reaction changes results, so when present it
-  /// *is* part of the fingerprint.
+  /// pre-existing specs keep their canonical form; like "mac" a
+  /// reaction changes results, so when present it *is* part of the
+  /// fingerprint.
   std::vector<core::ReactionSpec> reactions = {core::ReactionSpec{}};
   std::uint64_t seedBegin = 1;
   std::uint64_t seedEnd = 2;
@@ -163,16 +162,10 @@ struct SpecDoc {
   int lowerBoundLineLength = 0;
   bool hasFmmb = false;  ///< required iff protocol == kFmmb
   FmmbDoc fmmb;
-  /// Intra-run execution kernel ("serial" when the file omits the
-  /// key).  Serialized by writeSpec only when non-serial, so every
-  /// pre-existing spec's canonical form — and hence its fingerprint —
-  /// is unchanged, and shards run with a `--kernel` override still
-  /// merge against serially-produced shards byte-identically.
-  sim::KernelSpec kernel;
   /// Physical MAC realization, the "mac" key ("abstract" when the file
   /// omits it; serialized only when non-abstract, keeping existing
-  /// fingerprints stable).  Unlike the kernel this changes results, so
-  /// the `ammb_sweep --mac` override is applied to the document
+  /// fingerprints stable).  This changes results, so the
+  /// `ammb_sweep --mac` override is applied to the document
   /// *before* fingerprinting — a realized campaign can never merge or
   /// resume against abstract shards.
   mac::MacRealization realization;
@@ -184,10 +177,10 @@ struct SpecDoc {
   core::ExecutionBackend backend;
   /// Trace storage backend, the "trace_mode" key ("mem" when the file
   /// omits it; serialized only when non-mem, keeping existing
-  /// fingerprints stable).  Like the kernel it is a pure storage knob
-  /// — the committed record sequence, trace hashes, verdicts and
-  /// fitted bounds are identical either way — so the `--trace-mode`
-  /// override applies after fingerprinting.
+  /// fingerprints stable).  It is a pure storage knob — the committed
+  /// record sequence, trace hashes, verdicts and fitted bounds are
+  /// identical either way — so the `--trace-mode` override applies
+  /// after fingerprinting.
   sim::TraceMode traceMode;
 };
 

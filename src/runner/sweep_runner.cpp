@@ -71,7 +71,6 @@ std::string runHeader(const SweepSpec& spec, const RunPoint& point) {
 RunRecord executeRun(const SweepSpec& spec, const RunPoint& point) {
   RunRecord record;
   record.point = point;
-  record.kernel = spec.kernel.label();
   record.traceMode = spec.traceMode.label();
   record.realization = spec.realization.label();
   record.backend = spec.backend.label();

@@ -26,14 +26,11 @@ struct RunRecord {
   core::RunResult result;
   /// Non-empty iff the run threw (spec error, unsolvable cell, ...).
   std::string error;
-  /// Kernel label the run executed on ("serial", "parallel:N") — pure
-  /// provenance; results never depend on it.
-  std::string kernel = "serial";
   /// Trace storage backend label ("mem", "spool[:N]") — pure
-  /// provenance like the kernel; the record sequence is identical.
+  /// provenance; the record sequence is identical.
   std::string traceMode = "mem";
-  /// MAC realization label ("abstract", "csma:...").  Unlike the
-  /// kernel this is result-bearing provenance: realized runs derive
+  /// MAC realization label ("abstract", "csma:...").  Unlike the trace
+  /// mode this is result-bearing provenance: realized runs derive
   /// their timing from simulated contention.
   std::string realization = "abstract";
   /// Execution backend label ("sim", "net:...").  Result-bearing

@@ -152,7 +152,6 @@ core::RunConfig runConfigFor(const SweepSpec& spec, const RunPoint& point) {
   config.limits.stopOnSolve = spec.stopOnSolve;
   config.limits.maxTime = spec.maxTime;
   config.limits.maxEvents = spec.maxEvents;
-  config.kernel = spec.kernel;
   config.traceMode = spec.traceMode;
   config.realization = spec.realization;
   config.backend = spec.backend;

@@ -98,9 +98,9 @@ struct SweepSpec {
   std::vector<DynamicsSpecNamed> dynamics = {DynamicsSpecNamed{}};
   /// Churn-reaction axis (innermost, inside dynamics); defaults to one
   /// reaction-free point, so classic sweeps keep their exact grid.
-  /// Unlike the kernel, a reaction *changes results* (the protocol
-  /// re-arms after recoveries), so it is part of the spec's canonical
-  /// form and fingerprint whenever non-default.
+  /// A reaction *changes results* (the protocol re-arms after
+  /// recoveries), so it is part of the spec's canonical form and
+  /// fingerprint whenever non-default.
   std::vector<core::ReactionSpec> reactions = {core::ReactionSpec{}};
 
   /// Seed range [seedBegin, seedEnd): one run per seed per cell.
@@ -124,19 +124,15 @@ struct SweepSpec {
   int lowerBoundLineLength = 0;
   /// Required iff protocol == kFmmb (rejected otherwise).
   FmmbParamsFactory fmmbParams;
-  /// Intra-run execution kernel for every run of the sweep.  Parallel
-  /// kernels are bit-identical to serial, so results (and the sweep's
-  /// fingerprint, which covers only the grid) do not depend on this.
-  sim::KernelSpec kernel;
   /// Trace storage backend for every run of the sweep ("mem" default;
   /// "spool[:bufRecords]" spools records to disk and replays them
-  /// through the streaming oracles).  Pure storage knob like the
-  /// kernel: the committed record sequence — and with it every hash,
-  /// verdict and fitted bound — is identical either way, so it is NOT
-  /// part of the canonical form or fingerprint.
+  /// through the streaming oracles).  Pure storage knob: the committed
+  /// record sequence — and with it every hash, verdict and fitted
+  /// bound — is identical either way, so it is NOT part of the
+  /// canonical form or fingerprint.
   sim::TraceMode traceMode;
   /// Physical MAC realization for every run of the sweep (abstract by
-  /// default).  Unlike the kernel this *changes results* — a CSMA
+  /// default).  Unlike the trace mode this *changes results* — a CSMA
   /// realization replaces the scheduler axis with simulated contention
   /// — so it is part of the spec's canonical form and fingerprint.
   mac::MacRealization realization;

@@ -1,11 +1,11 @@
-# Runs the parallel-kernel bench in gate mode and diffs its
-# deterministic check document (trace hashes, stats, identity booleans
-# — no wall clocks) against the committed baseline at zero tolerance.
-# peak_rss_mb is a measurement of the machine, not the simulation, so
-# it is the one excluded key.
+# Runs the engine bench in check mode and diffs its deterministic
+# document (trace hashes, stats, the allocation bound — no wall clocks)
+# against the committed baseline at zero tolerance.  peak_rss_mb is a
+# measurement of the machine, not the simulation, so it is the one
+# excluded key.
 #
 #   cmake -DBENCH=... -DAMMB_SWEEP=... -DBASELINE=... -DWORKDIR=...
-#         -P bench_parallel_check.cmake
+#         -P bench_engine_check.cmake
 foreach(var BENCH AMMB_SWEEP BASELINE WORKDIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "${var} is required")
@@ -13,15 +13,13 @@ foreach(var BENCH AMMB_SWEEP BASELINE WORKDIR)
 endforeach()
 
 file(MAKE_DIRECTORY "${WORKDIR}")
-set(result "${WORKDIR}/BENCH_parallel_check.json")
+set(result "${WORKDIR}/BENCH_engine_check.json")
 
 execute_process(
   COMMAND "${BENCH}" --check "${result}"
   RESULT_VARIABLE bench_rc)
 if(NOT bench_rc EQUAL 0)
-  message(FATAL_ERROR
-          "bench_parallel_kernel --check failed (rc=${bench_rc}): the "
-          "parallel kernel diverged from the serial oracle")
+  message(FATAL_ERROR "bench_engine_gates --check failed (rc=${bench_rc})")
 endif()
 
 execute_process(

@@ -5,9 +5,11 @@
 // count), and the spec-file round trip of the dynamics axis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "check/fuzzer.h"
+#include "check/golden.h"
 #include "check/mutation.h"
 #include "graph/dynamics.h"
 #include "graph/generators.h"
@@ -300,6 +302,63 @@ TEST(DynamicsEngine, ReplayIsBitDeterministic) {
   ASSERT_TRUE(a.error.empty()) << a.error;
   EXPECT_EQ(a.traceHash, b.traceHash);
   EXPECT_TRUE(a.report.ok) << a.report.summary();
+}
+
+// Crash runs whose boundaries land on in-flight broadcasts, pinned to
+// trace hashes recorded when the boundary reconciliation ran as a
+// separate evaluate pass followed by a commit pass.  `shrunkGates`
+// counts acked instances that never served some G-neighbor of their
+// bcast epoch: each one lost that receiver from its ack gate (and its
+// scheduled delivery) at a boundary, so every case exercises the scrub.
+TEST(DynamicsEngine, BoundaryScrubKeepsPinnedTraces) {
+  struct Pin {
+    core::SchedulerKind scheduler;
+    std::uint64_t seed;
+    std::uint64_t traceHash;
+    std::uint64_t forcedRcvs;
+    int shrunkGates;
+  };
+  const Pin pins[] = {
+      {core::SchedulerKind::kAdversarial, 1, 0x697899cdc25401a1ull, 119, 7},
+      {core::SchedulerKind::kAdversarial, 2, 0x252d4e664ecea394ull, 125, 11},
+      {core::SchedulerKind::kRandom, 3, 0xe0c2bf4bf71600a1ull, 1, 2},
+      {core::SchedulerKind::kSlowAck, 5, 0xa3da302bf1941d5cull, 2, 2},
+  };
+  core::DynamicsSpec dynamics;
+  dynamics.kind = core::DynamicsSpec::Kind::kCrash;
+  dynamics.crashes = 4;
+  dynamics.period = 40;
+  dynamics.downFor = 20;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << pin.seed);
+    const auto base = gen::identityDual(gen::grid(4, 4));
+    const core::MmbWorkload workload = core::workloadRoundRobin(6, base.n());
+    core::Experiment experiment(
+        base, core::bmmbProtocol(), workload,
+        churnConfig(dynamics, pin.scheduler, pin.seed));
+    const core::RunResult result = experiment.run();
+    const TopologyView& view = experiment.view();
+    const mac::MacEngine& engine = experiment.engine();
+    EXPECT_TRUE(mac::checkTrace(view, engine.params(), engine.trace()).ok);
+
+    int shrunkGates = 0;
+    for (const mac::Instance& inst : engine.instances()) {
+      if (!inst.terminated || inst.aborted) continue;
+      const int e = view.epochAt(inst.bcastAt);
+      if (view.epochStart(e) == inst.bcastAt) continue;
+      for (NodeId j : view.dualAt(e).g().neighbors(inst.sender)) {
+        if (std::find(inst.deliveredTo.begin(), inst.deliveredTo.end(), j) ==
+            inst.deliveredTo.end()) {
+          ++shrunkGates;
+          break;
+        }
+      }
+    }
+    EXPECT_GT(shrunkGates, 0);
+    EXPECT_EQ(shrunkGates, pin.shrunkGates);
+    EXPECT_EQ(check::traceHash(engine.trace()), pin.traceHash);
+    EXPECT_EQ(result.stats.forcedRcvs, pin.forcedRcvs);
+  }
 }
 
 // --- the dynamics mutation family -------------------------------------------

@@ -58,30 +58,26 @@ TEST(FuzzSmoke, TwoHundredRandomExecutionsPassEveryOracle) {
   EXPECT_GT(streamingRuns, 0);
 }
 
-TEST(FuzzSmoke, KernelAndCsmaRotationsOverlapAndAreAudited) {
-  // The kernel rotation fires on i % 4 == 3 and the CSMA rotation on
-  // i % 5 == 2, so every i ≡ 7 (mod 20) BMMB case stacks both: a
-  // parallel kernel driving a realized contention MAC.  The per-case
-  // provenance the --json audit records (kernel / mac labels, also
-  // printed by toString) must carry both axes, and the CSMA rotation's
+TEST(FuzzSmoke, CsmaRotationIsAuditedAndKeepsItsBudget) {
+  // The CSMA rotation fires on BMMB cases with i % 5 == 2.  The
+  // per-case provenance the --json audit records (the mac label, also
+  // printed by toString) must carry the realization, and the rotation's
   // envelope-derived time budget must not be truncated by the sampled
   // cell's much smaller Fack.
   const FuzzSpec spec = smokeSpec();
-  int stacked = 0;
-  for (int i = 7; i < spec.iterations; i += 20) {
+  int realized = 0;
+  for (int i = 2; i < spec.iterations; i += 5) {
     const FuzzCase c = sampleCase(spec, i);
-    EXPECT_TRUE(c.kernel.parallel()) << toString(c);
     if (c.protocol != ProtocolKind::kBmmb) continue;  // CSMA is BMMB-only
-    ++stacked;
+    ++realized;
     EXPECT_FALSE(c.realization.abstract()) << toString(c);
     const std::string label = toString(c);
-    EXPECT_NE(label.find(" kernel="), std::string::npos) << label;
     EXPECT_NE(label.find(" mac="), std::string::npos) << label;
     // The envelope budget dominates the abstract-cell budget (the
     // engine enforces the envelope's Fack, not the sampled one).
     EXPECT_GE(c.maxTime, bmmbFuzzTimeBudget(c.n, c.k, c.mac.fack)) << label;
   }
-  EXPECT_GE(stacked, 1);
+  EXPECT_GE(realized, 1);
 }
 
 TEST(FuzzSmoke, SamplingIsSeedDeterministic) {

@@ -285,13 +285,96 @@ TEST(ProgressGuard, PruningKeepsCoversOfInstancesLiveBeyondFack) {
   }
 }
 
+// --- epoch boundaries --------------------------------------------------------
+//
+// A boundary re-evaluates exactly the receivers whose neighborhood it
+// touched.  Node 0 broadcasts once at t = 0 under the adversary
+// (deliveries held back to the ack at 32), so every receive below is
+// one the guard forced.
+
+/// Receive times at `node`, in trace order.
+std::vector<Time> rcvTimesAt(const MacEngine& engine, NodeId node) {
+  std::vector<Time> times;
+  for (const auto& rec : engine.trace().records()) {
+    if (rec.kind == sim::TraceKind::kRcv && rec.node == node) {
+      times.push_back(rec.t);
+    }
+  }
+  return times;
+}
+
+MacEngine::ProcessFactory node0SendsOnce() {
+  return [](NodeId) -> std::unique_ptr<Process> {
+    return std::make_unique<SendN>(1);
+  };
+}
+
+TEST(ProgressGuard, LinkDroppedBeforeTheDeadlineStandsTheGuardDown) {
+  const auto base = gen::identityDual(gen::star(3));
+  graph::TopologyDynamics dynamics;
+  dynamics.epochs.push_back(
+      {2, {{graph::TopologyEvent::Kind::kEdgeDown, 0, 2, false}}});
+  const graph::TopologyView view(base, dynamics);
+  MacEngine engine(view, stdParams(4, 32),
+                   std::make_unique<AdversarialScheduler>(), node0SendsOnce(),
+                   1);
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(rcvTimesAt(engine, 1), (std::vector<Time>{4}));
+  EXPECT_TRUE(rcvTimesAt(engine, 2).empty());
+  EXPECT_EQ(engine.stats().forcedRcvs, 1u);
+  EXPECT_EQ(engine.stats().acks, 1u);
+  const auto check = checkTrace(view, engine.params(), engine.trace());
+  EXPECT_TRUE(check.ok) << check.summary();
+}
+
+TEST(ProgressGuard, LinkThatComesUpObligesOnlyFromItsLiveSince) {
+  // Node 2 starts isolated; its E link to the broadcaster appears at
+  // t = 10, so its deadline is 10 + Fprog, not bcast + Fprog.
+  graph::Graph g(3);
+  g.addEdge(0, 1);
+  g.finalize();
+  const auto base = gen::identityDual(std::move(g));
+  graph::TopologyDynamics dynamics;
+  dynamics.epochs.push_back(
+      {10, {{graph::TopologyEvent::Kind::kEdgeUp, 0, 2, true}}});
+  const graph::TopologyView view(base, dynamics);
+  MacEngine engine(view, stdParams(4, 32),
+                   std::make_unique<AdversarialScheduler>(), node0SendsOnce(),
+                   1);
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(rcvTimesAt(engine, 1), (std::vector<Time>{4}));
+  EXPECT_EQ(rcvTimesAt(engine, 2), (std::vector<Time>{14}));
+  EXPECT_EQ(engine.stats().forcedRcvs, 2u);
+  const auto check = checkTrace(view, engine.params(), engine.trace());
+  EXPECT_TRUE(check.ok) << check.summary();
+}
+
+TEST(ProgressGuard, RecoveredReceiverIsReObligedFromItsRecovery) {
+  // Node 2 crashes before its deadline (t = 4) and recovers at t = 6:
+  // the crash stands its deadline down, the recovery re-arms it at
+  // 6 + Fprog.
+  const auto base = gen::identityDual(gen::star(3));
+  graph::TopologyDynamics dynamics;
+  dynamics.epochs.push_back(
+      {2, {{graph::TopologyEvent::Kind::kNodeCrash, 2, kNoNode, false}}});
+  dynamics.epochs.push_back(
+      {6, {{graph::TopologyEvent::Kind::kNodeRecover, 2, kNoNode, false}}});
+  const graph::TopologyView view(base, dynamics);
+  MacEngine engine(view, stdParams(4, 32),
+                   std::make_unique<AdversarialScheduler>(), node0SendsOnce(),
+                   1);
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(rcvTimesAt(engine, 1), (std::vector<Time>{4}));
+  EXPECT_EQ(rcvTimesAt(engine, 2), (std::vector<Time>{10}));
+  EXPECT_EQ(engine.stats().forcedRcvs, 2u);
+  const auto check = checkTrace(view, engine.params(), engine.trace());
+  EXPECT_TRUE(check.ok) << check.summary();
+}
+
 // Honest runs whose receivers hear more than 128 receives on average —
 // the regime where cover pruning fires over and over — pinned to trace
 // hashes and forced-delivery counts recorded with a guard that rebuilt
-// its need set on every evaluation and pruned only at 128 covers.  The
-// field is dense enough that guard batches reach the parallel kernel's
-// fan-out size, so parallel:4 evaluates concurrently and must still
-// match.
+// its need set on every evaluation and pruned only at 128 covers.
 TEST(ProgressGuard, DenseReceiversKeepTheirTracesAcrossPruning) {
   struct Pin {
     core::SchedulerKind scheduler;
@@ -306,35 +389,32 @@ TEST(ProgressGuard, DenseReceiversKeepTheirTracesAcrossPruning) {
       {core::SchedulerKind::kRandom, true, 0xbc7bf381178ef42full, 0},
   };
   for (const Pin& pin : pins) {
-    for (const char* kernel : {"serial", "parallel:4"}) {
-      check::FuzzCase c;
-      c.topology = check::TopologyFamily::kGreyZoneField;
-      c.n = 96;
-      c.greyAvgDegree = 40.0;
-      c.greyP = 0.6;
-      c.k = 8;
-      c.workload = check::WorkloadShape::kRoundRobin;
-      c.scheduler = pin.scheduler;
-      c.mac = stdParams(4, 32);
-      if (pin.drift) {
-        c.dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
-        c.dynamics.epochs = 4;
-        c.dynamics.period = 48;
-        c.dynamics.churn = 0.3;
-      }
-      c.kernel = sim::KernelSpec::fromLabel(kernel);
-      c.maxTime = check::bmmbFuzzTimeBudget(c.n, c.k, c.mac.fack);
-      c.seed = 7;
-      const std::string what = check::toString(c);
-      const check::ExecutionOutcome out = check::runCase(c);
-      ASSERT_TRUE(out.error.empty()) << what << ": " << out.error;
-      EXPECT_TRUE(out.report.ok) << what << ": " << out.report.summary();
-      EXPECT_TRUE(out.result.solved) << what;
-      EXPECT_GT(out.result.stats.rcvs, 128u * static_cast<std::uint64_t>(c.n))
-          << what;
-      EXPECT_EQ(out.traceHash, pin.traceHash) << what;
-      EXPECT_EQ(out.result.stats.forcedRcvs, pin.forcedRcvs) << what;
+    check::FuzzCase c;
+    c.topology = check::TopologyFamily::kGreyZoneField;
+    c.n = 96;
+    c.greyAvgDegree = 40.0;
+    c.greyP = 0.6;
+    c.k = 8;
+    c.workload = check::WorkloadShape::kRoundRobin;
+    c.scheduler = pin.scheduler;
+    c.mac = stdParams(4, 32);
+    if (pin.drift) {
+      c.dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
+      c.dynamics.epochs = 4;
+      c.dynamics.period = 48;
+      c.dynamics.churn = 0.3;
     }
+    c.maxTime = check::bmmbFuzzTimeBudget(c.n, c.k, c.mac.fack);
+    c.seed = 7;
+    const std::string what = check::toString(c);
+    const check::ExecutionOutcome out = check::runCase(c);
+    ASSERT_TRUE(out.error.empty()) << what << ": " << out.error;
+    EXPECT_TRUE(out.report.ok) << what << ": " << out.report.summary();
+    EXPECT_TRUE(out.result.solved) << what;
+    EXPECT_GT(out.result.stats.rcvs, 128u * static_cast<std::uint64_t>(c.n))
+        << what;
+    EXPECT_EQ(out.traceHash, pin.traceHash) << what;
+    EXPECT_EQ(out.result.stats.forcedRcvs, pin.forcedRcvs) << what;
   }
 }
 

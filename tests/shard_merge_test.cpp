@@ -133,6 +133,34 @@ TEST(RecordIo, RoundTripsThroughJson) {
   }
 }
 
+TEST(RecordIo, RemovedKernelKeyParsesAndIsDropped) {
+  // A journal record line as written before the intra-run kernel axis
+  // was removed, when every record carried a "kernel" key.  It must
+  // still parse (resuming an old journal), and re-serialize to the
+  // same bytes minus that key.
+  const std::string kernelField = R"("kernel":"parallel:4",)";
+  const std::string keyFree =
+      R"({"run_index":0,"cell_index":0,"topo_idx":0,"sched_idx":0,)"
+      R"("k_idx":0,"mac_idx":0,"wl_idx":0,"dyn_idx":0,"seed":1,)"
+      R"("error":"","solved":true,"solve_time":15,"end_time":15,)"
+      R"("status":"stopped","stats":{"bcasts":16,"rcvs":29,)"
+      R"("forced_rcvs":0,"acks":14,"aborts":0,"delivers":16,)"
+      R"("arrives":1},"messages":{"arrived":1,"completed":1,)"
+      R"("p50_latency":15,"p95_latency":15,"max_latency":15,)"
+      R"("mean_latency":15.0,"per_message":[[0,0,15]]},"checked":false,)"
+      R"("trace_hash":"0000000000000000","check_violations":[],)"
+      R"("canonical_trace":""})";
+  std::string parentLine = keyFree;
+  parentLine.insert(keyFree.find(R"("error")"), kernelField);
+  ASSERT_NE(parentLine, keyFree);
+
+  const RunRecord record =
+      runner::recordFromJson(runner::json::parse(parentLine), "record");
+  EXPECT_EQ(record.point.seed, 1u);
+  EXPECT_EQ(record.result.solveTime, 15);
+  EXPECT_EQ(runner::journalRecordLine(record), keyFree + "\n");
+}
+
 /// Executes `shard` of the grid and serializes it the way
 /// `ammb_sweep run --shard-json` does, at the given thread count.
 runner::ShardDoc runShard(const SweepSpec& spec, const Shard& shard,

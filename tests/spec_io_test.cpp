@@ -5,6 +5,7 @@
 // `ammb_sweep compare`.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 
 #include "runner/axis_codec.h"
@@ -274,9 +275,6 @@ TEST(SpecIo, ErrorsNameTheFullKeyPath) {
   EXPECT_NE(parseErrorOf(specWithExtra(R"(, "reactions": ["none", "panic"])"))
                 .find("spec.reactions[1]"),
             std::string::npos);
-  EXPECT_NE(parseErrorOf(specWithExtra(R"(, "kernel": "quantum")"))
-                .find("spec.kernel"),
-            std::string::npos);
   EXPECT_NE(parseErrorOf(specWithExtra(R"(, "mac": "tdma")"))
                 .find("spec.mac"),
             std::string::npos);
@@ -352,8 +350,6 @@ TEST(SpecIo, AxisOverridesApplyThroughTheCodecTable) {
                             "retransmit,retransmit+remis");
   ASSERT_EQ(doc.reactions.size(), 2u);
   EXPECT_EQ(doc.reactions[1].label(), "retransmit+remis");
-  runner::applyAxisOverride(doc, runner::axisCodec("kernel"), "parallel:2");
-  EXPECT_EQ(doc.kernel.label(), "parallel:2");
   // Errors name the CLI flag the bad value arrived through.
   try {
     runner::applyAxisOverride(doc, runner::axisCodec("backend"), "tcp");
@@ -369,14 +365,94 @@ TEST(SpecIo, RecordJsonCarriesBackendOnlyWhenNonDefault) {
   const runner::RunRecord back =
       runner::recordFromJson(runner::recordToJson(record), "record");
   EXPECT_EQ(back.backend, record.backend);
-  EXPECT_EQ(back.kernel, "serial");
 
-  // Sim records keep their pre-backend serialization: no "backend" key,
-  // while "kernel" (which predates elision) is always present.
+  // Sim records keep their pre-backend serialization: no "backend" key.
+  // Nor does any record carry the removed "kernel" key.
   std::ostringstream dumped;
   runner::json::dump(runner::recordToJson(runner::RunRecord{}), dumped);
   EXPECT_EQ(dumped.str().find("\"backend\""), std::string::npos);
-  EXPECT_NE(dumped.str().find("\"kernel\""), std::string::npos);
+  EXPECT_EQ(dumped.str().find("\"kernel\""), std::string::npos);
+}
+
+TEST(SpecIo, RemovedKernelKeyIsAnUnknownField) {
+  // The intra-run kernel axis is gone: a spec naming it, even at the
+  // old default, fails like any other typoed key instead of being
+  // silently dropped from the campaign.
+  EXPECT_EQ(parseErrorOf(specWithExtra(R"(, "kernel": "serial")")),
+            "spec has unknown field \"kernel\"");
+  EXPECT_THROW(runner::axisCodec("kernel"), Error);
+}
+
+TEST(SpecIo, AxisTableHoldsTheFourExecutionAxes) {
+  // The table documented in axis_codec.h, row by row.
+  struct Row {
+    const char* axis;
+    const char* specKey;
+    const char* cliFlag;
+    const char* recordKey;
+    const char* defaultLabel;
+    bool resultBearing;
+    bool multi;
+  };
+  const Row rows[] = {
+      {"mac", "mac", "--mac", "mac_realization", "abstract", true, false},
+      {"reaction", "reactions", "--reaction", nullptr, "none", true, true},
+      {"backend", "backend", "--backend", "backend", "sim", true, false},
+      {"trace", "trace_mode", "--trace-mode", "trace_mode", "mem", false,
+       false},
+  };
+  const auto str = [](const char* s) {
+    return s == nullptr ? std::string("(none)") : std::string(s);
+  };
+  const auto& table = runner::axisCodecs();
+  ASSERT_EQ(table.size(), std::size(rows));
+  const SpecDoc doc = runner::parseSpec(kMinimalSpec);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const runner::AxisCodec& codec = table[i];
+    SCOPED_TRACE(rows[i].axis);
+    EXPECT_EQ(str(codec.axis), str(rows[i].axis));
+    EXPECT_EQ(str(codec.specKey), str(rows[i].specKey));
+    EXPECT_EQ(str(codec.cliFlag), str(rows[i].cliFlag));
+    EXPECT_EQ(str(codec.recordKey), str(rows[i].recordKey));
+    EXPECT_EQ(str(codec.defaultLabel), str(rows[i].defaultLabel));
+    EXPECT_EQ(codec.resultBearing, rows[i].resultBearing);
+    EXPECT_EQ(codec.multi, rows[i].multi);
+    EXPECT_EQ(codec.recordField == nullptr, codec.recordKey == nullptr);
+    EXPECT_EQ(&runner::axisCodec(codec.axis), &codec);
+    // A spec that omits the axis holds exactly the default label, which
+    // is what the canonical writer elides.
+    EXPECT_EQ(codec.get(doc), std::vector<std::string>{codec.defaultLabel});
+  }
+}
+
+TEST(SpecIo, RecordAxesElideAtTheDefaultAndKeepTableOrder) {
+  json::Object defaults;
+  runner::emitRecordAxes(defaults, runner::RunRecord{});
+  EXPECT_TRUE(defaults.empty());
+
+  runner::RunRecord record;
+  record.realization = "csma:2,4,32,5,0.25";
+  record.backend = "net:19000,0.1,200,3,0,0";
+  record.traceMode = "spool:64";
+  json::Object o;
+  runner::emitRecordAxes(o, record);
+  std::vector<std::string> keys;
+  for (const json::Member& m : o) keys.push_back(m.first);
+  EXPECT_EQ(keys, (std::vector<std::string>{"mac_realization", "backend",
+                                            "trace_mode"}));
+
+  runner::RunRecord back;
+  runner::parseRecordAxes(back, json::Value(o), "record");
+  EXPECT_EQ(back.realization, record.realization);
+  EXPECT_EQ(back.backend, record.backend);
+  EXPECT_EQ(back.traceMode, record.traceMode);
+
+  // Absent keys leave the defaults in place.
+  runner::RunRecord untouched;
+  runner::parseRecordAxes(untouched, json::Value(json::Object{}), "record");
+  EXPECT_EQ(untouched.realization, "abstract");
+  EXPECT_EQ(untouched.backend, "sim");
+  EXPECT_EQ(untouched.traceMode, "mem");
 }
 
 #ifdef AMMB_SWEEPS_DIR

@@ -98,4 +98,21 @@ if(NOT err MATCHES "--backend")
   message(FATAL_ERROR "override error does not name --backend:\n${err}")
 endif()
 
+# The removed intra-run kernel axis: its flag is now an unknown flag,
+# not a silent no-op.
+set(removed_axis kernel)
+execute_process(
+  COMMAND ${AMMB_SWEEP} run "${SPEC}" --${removed_axis} serial
+  WORKING_DIRECTORY "${WORKDIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "run accepted the removed --${removed_axis} flag")
+endif()
+if(NOT err MATCHES "--${removed_axis}")
+  message(FATAL_ERROR
+          "unknown-flag error does not name --${removed_axis}:\n${err}")
+endif()
+
 message(STATUS "sweep CLI e2e: shard/merge/resume/compare all consistent")

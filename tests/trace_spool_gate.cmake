@@ -32,7 +32,7 @@ execute_process(
   RESULT_VARIABLE bench_rc)
 if(NOT bench_rc EQUAL 0)
   message(FATAL_ERROR
-          "bench_parallel_kernel --spool-gate failed (rc=${bench_rc}): "
+          "bench_engine_gates --spool-gate failed (rc=${bench_rc}): "
           "an oracle violation, or peak RSS above ${RSS_CEILING_MB} MiB")
 endif()
 

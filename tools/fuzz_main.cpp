@@ -59,14 +59,13 @@ void writeJsonSummary(const std::string& path, const check::FuzzSpec& spec,
   // Per-case execution-substrate provenance.  sampleCase is a pure
   // function of (spec, iteration), so this is exactly the rotation the
   // campaign ran — re-derivable, but recorded here so a CI consumer can
-  // see which iterations exercised which kernel / MAC layer without
+  // see which iterations exercised which MAC layer without
   // rebuilding the sampler.
   for (int i = 0; i < spec.iterations; ++i) {
     const check::FuzzCase c = check::sampleCase(spec, i);
     out << (i == 0 ? "\n" : ",\n") << "    {\"iteration\": " << i
         << ", \"protocol\": \"" << core::toString(c.protocol)
-        << "\", \"kernel\": \"" << c.kernel.label() << "\", \"mac\": \""
-        << c.realization.label() << "\"}";
+        << "\", \"mac\": \"" << c.realization.label() << "\"}";
   }
   out << "\n  ]\n}\n";
   std::cout << "wrote " << path << "\n";

@@ -1,7 +1,6 @@
 // ammb_sweep — the sharded sweep service CLI.
 //
 //   ammb_sweep run SPEC.json [--shard I/N] [--threads T]
-//              [--kernel serial|parallel[:N]]
 //              [--mac abstract|csma[:slot,cwMin,cwMax,maxRetries,pCapture]]
 //              [--reaction none|retransmit|retransmit+remis[,...]]
 //              [--journal PATH [--resume]] [--shard-json PATH]
@@ -54,7 +53,6 @@ using tools::writeFile;
 int usage() {
   std::cerr
       << "usage: ammb_sweep run SPEC.json [--shard I/N] [--threads T]\n"
-         "                  [--kernel serial|parallel[:N]]\n"
          "                  [--mac abstract|csma[:slot,cwMin,cwMax,"
          "maxRetries,pCapture]]\n"
          "                  [--reaction none|retransmit|retransmit+remis"
@@ -78,9 +76,9 @@ int usage() {
 int cmdRun(int argc, char** argv) {
   const Args args = Args::parse(
       argc, argv, 2,
-      {"--shard", "--threads", "--kernel", "--mac", "--reaction",
-       "--backend", "--trace-mode", "--journal", "--shard-json", "--json",
-       "--csv", "--runs-csv"},
+      {"--shard", "--threads", "--mac", "--reaction", "--backend",
+       "--trace-mode", "--journal", "--shard-json", "--json", "--csv",
+       "--runs-csv"},
       {"--resume", "--allow-errors", "--allow-violations"});
   if (args.positional.size() != 1) return usage();
   const std::string specPath = args.positional[0];
@@ -97,11 +95,10 @@ int cmdRun(int argc, char** argv) {
     }
   }
   const std::string fingerprint = runner::specFingerprint(doc);
-  // The pure-knob axes (--kernel, --trace-mode) apply after the
-  // fingerprint is taken: parallel runs are bit-identical to serial and
-  // spooled traces commit the same record sequence as in-memory ones,
-  // so a shard run with either override still journals/merges against
-  // shards produced with any other setting.
+  // The pure storage knob (--trace-mode) applies after the fingerprint
+  // is taken: spooled traces commit the same record sequence as
+  // in-memory ones, so a shard run with the override still
+  // journals/merges against shards produced with any other setting.
   for (const runner::AxisCodec& codec : runner::axisCodecs()) {
     if (codec.resultBearing) continue;
     if (const std::string* value = args.flag(codec.cliFlag)) {
