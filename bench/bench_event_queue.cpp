@@ -1,33 +1,25 @@
-// Event-kernel microbench: the pooled sim::EventQueue against the seed
-// kernel (bench::LegacyEventQueue) on the three hot-path shapes the MAC
-// engine exercises:
+// Event-kernel microbench: the pooled sim::EventQueue on the three
+// hot-path shapes the MAC engine exercises:
 //
 //   schedule+run — bulk insertion then full drain (bcast planning);
 //   churn        — a bounded window of self-rescheduling events
 //                  (steady-state simulation; slot reuse vs. realloc);
 //   cancel-heavy — schedule/cancel pairs plus a drain (abort paths and
-//                  guard re-arming; true O(log n) removal vs. tombstones
-//                  that keep inflating the heap).
+//                  guard re-arming; O(log n) removal in place).
 //
-// Counters report events per second; the summary table prints the
-// pooled/legacy ratio per shape.
+// Counters report events per second.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <functional>
 #include <vector>
 
-#include "legacy_event_queue.h"
 #include "sim/event_queue.h"
 
 namespace {
 
 using ammb::Time;
 using ammb::sim::EventQueue;
-using LegacyQueue = ammb::bench::LegacyEventQueue;
 
-// Cheap deterministic pseudo-times, so both kernels see identical
+// Cheap deterministic pseudo-times, so every run sees identical
 // schedules without paying RNG costs inside the measured region.
 inline Time mixTime(std::uint64_t i) {
   std::uint64_t x = i * 0x9e3779b97f4a7c15ull;
@@ -37,9 +29,7 @@ inline Time mixTime(std::uint64_t i) {
 
 // Engine-sized closure state: MacEngine's hot-path events capture
 // (this, InstanceId, NodeId) — 24 bytes, which overflows std::function's
-// 16-byte SSO and forces the legacy kernel into one heap allocation per
-// scheduled event, exactly as in a real simulation.  EventFn keeps it
-// inline.
+// 16-byte SSO; EventFn keeps it inline.
 struct EnginePayload {
   std::uint64_t* sink;
   std::uint64_t instance;
@@ -48,12 +38,11 @@ struct EnginePayload {
 };
 static_assert(sizeof(EnginePayload) == 24, "payload should model the engine");
 
-template <typename Queue>
 void BM_ScheduleRun(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    Queue q;
+    EventQueue q;
     for (std::uint64_t i = 0; i < n; ++i) {
       q.schedule(mixTime(i), EnginePayload{&sink, i, i + 1});
     }
@@ -65,9 +54,8 @@ void BM_ScheduleRun(benchmark::State& state) {
 
 // Self-rescheduling engine-sized closure (the steady-state shape: every
 // handled event schedules its successor with a fresh closure).
-template <typename Queue>
 struct ChurnStep {
-  Queue* q;
+  EventQueue* q;
   std::uint64_t* sink;
   std::uint64_t salt;
   void operator()() const {
@@ -77,15 +65,14 @@ struct ChurnStep {
   }
 };
 
-template <typename Queue>
 void BM_Churn(benchmark::State& state) {
   const auto window = static_cast<std::uint64_t>(state.range(0));
   constexpr std::uint64_t kEvents = 1 << 16;
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    Queue q;
+    EventQueue q;
     for (std::uint64_t i = 0; i < window; ++i) {
-      q.schedule(mixTime(i), ChurnStep<Queue>{&q, &sink, i});
+      q.schedule(mixTime(i), ChurnStep{&q, &sink, i});
     }
     q.run(ammb::kTimeNever, kEvents);
     benchmark::DoNotOptimize(sink);
@@ -94,19 +81,17 @@ void BM_Churn(benchmark::State& state) {
                           state.iterations());
 }
 
-template <typename Queue>
 void BM_CancelHeavy(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    Queue q;
-    std::vector<std::uint64_t> handles;  // both kernels use 64-bit handles
+    EventQueue q;
+    std::vector<std::uint64_t> handles;
     handles.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       handles.push_back(q.schedule(mixTime(i), EnginePayload{&sink, i, i}));
     }
-    // Cancel three quarters; the legacy kernel keeps every tombstone in
-    // the heap until drain, the pooled kernel removes in place.
+    // Cancel three quarters; the kernel removes them in place.
     for (std::uint64_t i = 0; i < n; ++i) {
       if (i % 4 != 0) q.cancel(handles[static_cast<std::size_t>(i)]);
     }
@@ -117,95 +102,9 @@ void BM_CancelHeavy(benchmark::State& state) {
                           state.iterations());
 }
 
-BENCHMARK_TEMPLATE(BM_ScheduleRun, EventQueue)->Arg(1024)->Arg(65536);
-BENCHMARK_TEMPLATE(BM_ScheduleRun, LegacyQueue)->Arg(1024)->Arg(65536);
-BENCHMARK_TEMPLATE(BM_Churn, EventQueue)->Arg(64)->Arg(1024);
-BENCHMARK_TEMPLATE(BM_Churn, LegacyQueue)->Arg(64)->Arg(1024);
-BENCHMARK_TEMPLATE(BM_CancelHeavy, EventQueue)->Arg(1024)->Arg(65536);
-BENCHMARK_TEMPLATE(BM_CancelHeavy, LegacyQueue)->Arg(1024)->Arg(65536);
-
-// --- head-to-head summary ----------------------------------------------------
-
-template <typename Queue>
-double eventsPerSecond(void (*body)(Queue&, std::uint64_t),
-                       std::uint64_t arg, std::uint64_t events) {
-  // Fixed-work timing loop, long enough to dominate clock overhead.
-  const auto start = std::chrono::steady_clock::now();
-  int reps = 0;
-  double elapsed = 0.0;
-  do {
-    Queue q;
-    body(q, arg);
-    ++reps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-  } while (elapsed < 0.2);
-  return static_cast<double>(events) * reps / elapsed;
-}
-
-template <typename Queue>
-void scheduleRunBody(Queue& q, std::uint64_t n) {
-  static std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    q.schedule(mixTime(i), EnginePayload{&sink, i, i + 1});
-  }
-  q.run();
-  benchmark::DoNotOptimize(sink);
-}
-
-template <typename Queue>
-void churnBody(Queue& q, std::uint64_t window) {
-  static std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < window; ++i) {
-    q.schedule(mixTime(i), ChurnStep<Queue>{&q, &sink, i});
-  }
-  q.run(ammb::kTimeNever, 1 << 16);
-  benchmark::DoNotOptimize(sink);
-}
-
-template <typename Queue>
-void cancelBody(Queue& q, std::uint64_t n) {
-  static std::uint64_t sink = 0;
-  std::vector<std::uint64_t> handles;
-  handles.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    handles.push_back(q.schedule(mixTime(i), EnginePayload{&sink, i, i}));
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (i % 4 != 0) q.cancel(handles[static_cast<std::size_t>(i)]);
-  }
-  q.run();
-  benchmark::DoNotOptimize(sink);
-}
-
-void printSummary() {
-  struct Shape {
-    const char* name;
-    double pooled;
-    double legacy;
-  };
-  const std::uint64_t kN = 65536;
-  std::vector<Shape> shapes = {
-      {"schedule+run n=65536",
-       eventsPerSecond<EventQueue>(&scheduleRunBody<EventQueue>, kN, kN),
-       eventsPerSecond<LegacyQueue>(&scheduleRunBody<LegacyQueue>, kN, kN)},
-      {"churn window=1024",
-       eventsPerSecond<EventQueue>(&churnBody<EventQueue>, 1024, 1 << 16),
-       eventsPerSecond<LegacyQueue>(&churnBody<LegacyQueue>, 1024, 1 << 16)},
-      {"cancel-heavy n=65536",
-       eventsPerSecond<EventQueue>(&cancelBody<EventQueue>, kN, 2 * kN),
-       eventsPerSecond<LegacyQueue>(&cancelBody<LegacyQueue>, kN, 2 * kN)},
-  };
-  std::printf("\n=== event kernel: pooled (sim::EventQueue) vs seed "
-              "(LegacyEventQueue) ===\n");
-  std::printf("%-28s %16s %16s %8s\n", "shape", "pooled ev/s", "legacy ev/s",
-              "speedup");
-  for (const Shape& s : shapes) {
-    std::printf("%-28s %16.0f %16.0f %7.2fx\n", s.name, s.pooled, s.legacy,
-                s.pooled / s.legacy);
-  }
-}
+BENCHMARK(BM_ScheduleRun)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Churn)->Arg(64)->Arg(1024);
+BENCHMARK(BM_CancelHeavy)->Arg(1024)->Arg(65536);
 
 }  // namespace
 
@@ -213,6 +112,5 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  printSummary();
   return 0;
 }

@@ -1,8 +1,10 @@
 #include "runner/emit.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "runner/axis_codec.h"
 
@@ -27,6 +29,50 @@ std::string csvEscape(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+/// Per-cell outcome columns, in the order both the cells CSV and the
+/// cells JSON emit them.
+using Cell = CellAggregate;
+const RecordField<Cell> kCellFields[] = {
+    {"runs", &Cell::runs},           {"solved", &Cell::solved},
+    {"errors", &Cell::errors},       {"min_solve", &Cell::minSolve},
+    {"median_solve", &Cell::medianSolve},
+    {"mean_solve", &Cell::meanSolve}, {"p95_solve", &Cell::p95Solve},
+    {"max_solve", &Cell::maxSolve},  {"mean_end_time", &Cell::meanEndTime},
+    {"messages", &Cell::messages},   {"mean_latency", &Cell::meanLatency},
+    {"p50_latency", &Cell::p50Latency}, {"p95_latency", &Cell::p95Latency},
+    {"max_latency", &Cell::maxLatency}};
+
+/// Streams `fields` of `s` as comma-prefixed CSV cells or, given the
+/// text that leads the first member, as JSON members `"key": value`
+/// (later members are led by ", ").  Doubles print fixed-point.
+template <class S, std::size_t N>
+void streamFields(std::ostream& out, const S& s,
+                  const RecordField<S> (&fields)[N],
+                  const char* firstLead = nullptr) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (firstLead == nullptr) {
+      out << ',';
+    } else {
+      out << (i == 0 ? firstLead : ", ") << '"' << fields[i].key << "\": ";
+    }
+    std::visit(
+        [&](auto m) {
+          if constexpr (std::is_same_v<decltype(m), double S::*>) {
+            out << fixed(s.*m);
+          } else {
+            out << s.*m;
+          }
+        },
+        fields[i].member);
+  }
+}
+
+/// The header cells naming `fields`, comma-prefixed.
+template <class S, std::size_t N>
+void streamKeys(std::ostream& out, const RecordField<S> (&fields)[N]) {
+  for (const RecordField<S>& f : fields) out << ',' << f.key;
 }
 
 }  // namespace
@@ -60,12 +106,11 @@ void emitRealizedCsv(std::uint64_t measuredRuns,
 
 void emitCellsCsv(const SweepResult& result, std::ostream& out) {
   out << "sweep,protocol,workload,topology,scheduler,k,mac,dynamics,"
-         "reaction,seed_begin,"
-         "seed_end,runs,solved,errors,min_solve,median_solve,mean_solve,"
-         "p95_solve,max_solve,mean_end_time,messages,mean_latency,"
-         "p50_latency,p95_latency,max_latency,bcasts,rcvs,forced_rcvs,acks,"
-         "aborts,delivers,arrives,retransmits,checked_runs,check_violations,"
-         "realization,measured_runs,realized_fprog_p50,realized_fprog_p95,"
+         "reaction,seed_begin,seed_end";
+  streamKeys(out, kCellFields);
+  streamKeys(out, kStatsFields);
+  out << ",retransmits,checked_runs,check_violations,realization,"
+         "measured_runs,realized_fprog_p50,realized_fprog_p95,"
          "realized_fprog_max,realized_fack_p50,realized_fack_p95,"
          "realized_fack_max,fitted_fprog,fitted_fack,backend\n";
   for (const CellAggregate& c : result.cells) {
@@ -74,16 +119,10 @@ void emitCellsCsv(const SweepResult& result, std::ostream& out) {
         << ',' << csvEscape(c.scheduler) << ',' << c.k << ','
         << csvEscape(c.mac) << ',' << csvEscape(c.dynamics) << ','
         << csvEscape(c.reaction) << ',' << result.seedBegin << ','
-        << result.seedEnd << ',' << c.runs << ',' << c.solved << ','
-        << c.errors << ',' << c.minSolve << ',' << c.medianSolve << ','
-        << fixed(c.meanSolve) << ',' << c.p95Solve << ',' << c.maxSolve
-        << ',' << fixed(c.meanEndTime) << ',' << c.messages << ','
-        << fixed(c.meanLatency) << ',' << c.p50Latency << ','
-        << c.p95Latency << ',' << c.maxLatency << ',' << c.stats.bcasts
-        << ',' << c.stats.rcvs << ',' << c.stats.forcedRcvs << ','
-        << c.stats.acks << ',' << c.stats.aborts << ',' << c.stats.delivers
-        << ',' << c.stats.arrives << ',' << c.retransmits << ','
-        << c.checkedRuns << ','
+        << result.seedEnd;
+    streamFields(out, c, kCellFields);
+    streamFields(out, c.stats, kStatsFields);
+    out << ',' << c.retransmits << ',' << c.checkedRuns << ','
         << c.checkViolations << ',' << csvEscape(result.realization);
     emitRealizedCsv(c.measuredRuns, c.realized, out);
     out << ',' << csvEscape(result.backend) << '\n';
@@ -157,40 +196,17 @@ void emitJson(const SweepResult& result, std::ostream& out) {
       out << ", \"reaction\": \"" << json::escape(c.reaction)
           << "\", \"retransmits\": " << c.retransmits;
     }
-    out << ", \"runs\": " << c.runs << ", \"solved\": " << c.solved
-        << ", \"errors\": " << c.errors << ", \"min_solve\": " << c.minSolve
-        << ", \"median_solve\": " << c.medianSolve
-        << ", \"mean_solve\": " << fixed(c.meanSolve)
-        << ", \"p95_solve\": " << c.p95Solve
-        << ", \"max_solve\": " << c.maxSolve
-        << ", \"mean_end_time\": " << fixed(c.meanEndTime)
-        << ", \"messages\": " << c.messages
-        << ", \"mean_latency\": " << fixed(c.meanLatency)
-        << ", \"p50_latency\": " << c.p50Latency
-        << ", \"p95_latency\": " << c.p95Latency
-        << ", \"max_latency\": " << c.maxLatency
-        << ", \"checked_runs\": " << c.checkedRuns
+    streamFields(out, c, kCellFields, ", ");
+    out << ", \"checked_runs\": " << c.checkedRuns
         << ", \"check_violations\": " << c.checkViolations;
     if (c.measuredRuns > 0) {
-      out << ", \"measured_runs\": " << c.measuredRuns
-          << ", \"realized\": {\"fprog_p50\": " << c.realized.fprogP50
-          << ", \"fprog_p95\": " << c.realized.fprogP95
-          << ", \"fprog_max\": " << c.realized.fprogMax
-          << ", \"fack_p50\": " << c.realized.fackP50
-          << ", \"fack_p95\": " << c.realized.fackP95
-          << ", \"fack_max\": " << c.realized.fackMax
-          << ", \"fitted_fprog\": " << c.realized.fittedFprog
-          << ", \"fitted_fack\": " << c.realized.fittedFack
-          << ", \"ack_samples\": " << c.realized.ackSamples
-          << ", \"prog_samples\": " << c.realized.progSamples << "}";
+      out << ", \"measured_runs\": " << c.measuredRuns << ", \"realized\": ";
+      streamFields(out, c.realized, kRealizedFields, "{");
+      out << '}';
     }
-    out << ", \"stats\": {\"bcasts\": " << c.stats.bcasts
-        << ", \"rcvs\": " << c.stats.rcvs
-        << ", \"forced_rcvs\": " << c.stats.forcedRcvs
-        << ", \"acks\": " << c.stats.acks << ", \"aborts\": " << c.stats.aborts
-        << ", \"delivers\": " << c.stats.delivers
-        << ", \"arrives\": " << c.stats.arrives << "}}"
-        << (i + 1 < result.cells.size() ? ",\n" : "\n");
+    out << ", \"stats\": ";
+    streamFields(out, c.stats, kStatsFields, "{");
+    out << "}}" << (i + 1 < result.cells.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
 }
@@ -255,32 +271,73 @@ const Value& member(const Value& object, const std::string& key,
   return *v;
 }
 
+/// Every count, index and tick a record carries is non-negative
+/// (kTimeNever included), so aggregation never sees a wrapped counter
+/// or a negative latency.
+std::int64_t nonNegative(const Value& value, const std::string& path) {
+  const std::int64_t v = value.asInt(path);
+  AMMB_REQUIRE(v >= 0, path + " must be non-negative");
+  return v;
+}
+
 std::size_t memberSize(const Value& object, const std::string& key,
                        const std::string& context) {
-  const std::int64_t v = member(object, key, context).asInt(context + "." + key);
-  AMMB_REQUIRE(v >= 0, context + "." + key + " must be non-negative");
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(
+      nonNegative(member(object, key, context), context + "." + key));
+}
+
+/// Per-run latency summary (the per_message samples ride beside it).
+const RecordField<core::MessageMetrics> kMessageFields[] = {
+    {"arrived", &core::MessageMetrics::arrived},
+    {"completed", &core::MessageMetrics::completed},
+    {"p50_latency", &core::MessageMetrics::p50Latency},
+    {"p95_latency", &core::MessageMetrics::p95Latency},
+    {"max_latency", &core::MessageMetrics::maxLatency},
+    {"mean_latency", &core::MessageMetrics::meanLatency}};
+
+template <class S, std::size_t N>
+void writeFields(const S& s, const RecordField<S> (&fields)[N], Object& out) {
+  for (const RecordField<S>& f : fields) {
+    std::visit(
+        [&](auto m) {
+          if (f.elideZero && s.*m == 0) return;
+          if constexpr (std::is_same_v<decltype(m), double S::*>) {
+            out.emplace_back(f.key, s.*m);
+          } else {
+            out.emplace_back(f.key, static_cast<std::int64_t>(s.*m));
+          }
+        },
+        f.member);
+  }
+}
+
+template <class S, std::size_t N>
+void readFields(S& s, const RecordField<S> (&fields)[N], const Value& object,
+                const std::string& context) {
+  for (const RecordField<S>& f : fields) {
+    if (f.elideZero && object.isObject() && object.find(f.key) == nullptr) {
+      continue;
+    }
+    const Value& v = member(object, f.key, context);
+    const std::string path = context + "." + f.key;
+    std::visit(
+        [&](auto m) {
+          using T = std::remove_reference_t<decltype(s.*m)>;
+          if constexpr (std::is_same_v<T, double>) {
+            s.*m = v.asDouble(path);
+          } else {
+            s.*m = static_cast<T>(nonNegative(v, path));
+          }
+        },
+        f.member);
+  }
 }
 
 }  // namespace
 
 json::Value recordToJson(const RunRecord& record) {
   Object o;
-  o.emplace_back("run_index", record.point.runIndex);
-  o.emplace_back("cell_index", record.point.cellIndex);
-  o.emplace_back("topo_idx", record.point.topoIdx);
-  o.emplace_back("sched_idx", record.point.schedIdx);
-  o.emplace_back("k_idx", record.point.kIdx);
-  o.emplace_back("mac_idx", record.point.macIdx);
-  o.emplace_back("wl_idx", record.point.wlIdx);
-  o.emplace_back("dyn_idx", record.point.dynIdx);
-  // The reaction coordinate is emitted only off the axis default, so
-  // record files written before the axis existed keep their exact
-  // bytes (as do all reaction-free shards and journals).
-  if (record.point.reactIdx != 0) {
-    o.emplace_back("react_idx", record.point.reactIdx);
-  }
-  o.emplace_back("seed", static_cast<std::int64_t>(record.point.seed));
+  writeFields(record.point, kPointFields, o);
   // Execution-axis provenance (mac_realization, backend, trace_mode)
   // via the shared codec table, elided at the defaults so record files
   // written before each field existed — and every abstract/sim/mem
@@ -288,18 +345,7 @@ json::Value recordToJson(const RunRecord& record) {
   emitRecordAxes(o, record);
   if (record.realized.measured()) {
     Object realized;
-    realized.emplace_back("fprog_p50", record.realized.fprogP50);
-    realized.emplace_back("fprog_p95", record.realized.fprogP95);
-    realized.emplace_back("fprog_max", record.realized.fprogMax);
-    realized.emplace_back("fack_p50", record.realized.fackP50);
-    realized.emplace_back("fack_p95", record.realized.fackP95);
-    realized.emplace_back("fack_max", record.realized.fackMax);
-    realized.emplace_back("fitted_fprog", record.realized.fittedFprog);
-    realized.emplace_back("fitted_fack", record.realized.fittedFack);
-    realized.emplace_back("ack_samples",
-                          static_cast<std::int64_t>(record.realized.ackSamples));
-    realized.emplace_back(
-        "prog_samples", static_cast<std::int64_t>(record.realized.progSamples));
+    writeFields(record.realized, kRealizedFields, realized);
     o.emplace_back("realized", std::move(realized));
   }
   o.emplace_back("error", record.error);
@@ -309,34 +355,18 @@ json::Value recordToJson(const RunRecord& record) {
   o.emplace_back("status", sim::toString(record.result.status));
   // Churn-reaction work counter, elided when zero (the universal case
   // for reaction-free runs) for the same byte-compatibility reason as
-  // react_idx above.
+  // react_idx.
   if (record.result.retransmits != 0) {
     o.emplace_back("retransmits",
                    static_cast<std::int64_t>(record.result.retransmits));
   }
-
   Object stats;
-  stats.emplace_back("bcasts", static_cast<std::int64_t>(record.result.stats.bcasts));
-  stats.emplace_back("rcvs", static_cast<std::int64_t>(record.result.stats.rcvs));
-  stats.emplace_back("forced_rcvs",
-                     static_cast<std::int64_t>(record.result.stats.forcedRcvs));
-  stats.emplace_back("acks", static_cast<std::int64_t>(record.result.stats.acks));
-  stats.emplace_back("aborts",
-                     static_cast<std::int64_t>(record.result.stats.aborts));
-  stats.emplace_back("delivers",
-                     static_cast<std::int64_t>(record.result.stats.delivers));
-  stats.emplace_back("arrives",
-                     static_cast<std::int64_t>(record.result.stats.arrives));
+  writeFields(record.result.stats, kStatsFields, stats);
   o.emplace_back("stats", std::move(stats));
 
   const core::MessageMetrics& mm = record.result.messages;
   Object messages;
-  messages.emplace_back("arrived", static_cast<std::int64_t>(mm.arrived));
-  messages.emplace_back("completed", static_cast<std::int64_t>(mm.completed));
-  messages.emplace_back("p50_latency", mm.p50Latency);
-  messages.emplace_back("p95_latency", mm.p95Latency);
-  messages.emplace_back("max_latency", mm.maxLatency);
-  messages.emplace_back("mean_latency", mm.meanLatency);
+  writeFields(mm, kMessageFields, messages);
   Array perMessage;
   for (const core::MessageMetric& pm : mm.perMessage) {
     Array entry;
@@ -362,99 +392,53 @@ json::Value recordToJson(const RunRecord& record) {
 RunRecord recordFromJson(const json::Value& value,
                          const std::string& context) {
   RunRecord record;
-  record.point.runIndex = memberSize(value, "run_index", context);
-  record.point.cellIndex = memberSize(value, "cell_index", context);
-  record.point.topoIdx = memberSize(value, "topo_idx", context);
-  record.point.schedIdx = memberSize(value, "sched_idx", context);
-  record.point.kIdx = memberSize(value, "k_idx", context);
-  record.point.macIdx = memberSize(value, "mac_idx", context);
-  record.point.wlIdx = memberSize(value, "wl_idx", context);
-  record.point.dynIdx = memberSize(value, "dyn_idx", context);
-  // Optional: records from before the reaction axis existed (and all
-  // reaction-free records) omit the coordinate; it defaults to 0.
-  if (value.find("react_idx") != nullptr) {
-    record.point.reactIdx = memberSize(value, "react_idx", context);
-  }
-  record.point.seed = static_cast<std::uint64_t>(
-      member(value, "seed", context).asInt(context + ".seed"));
+  readFields(record.point, kPointFields, value, context);
   // Every execution-axis key is optional for compatibility with record
   // files written before that axis existed; absent keys keep the
   // RunRecord defaults ("mem" / "abstract" / "sim").  Unknown keys are
   // ignored, so records carrying the removed "kernel" key still parse.
   parseRecordAxes(record, value, context);
   if (const Value* realized = value.find("realized"); realized != nullptr) {
-    const std::string rc = context + ".realized";
-    phys::RealizedBounds& r = record.realized;
-    r.fprogP50 = member(*realized, "fprog_p50", rc).asInt(rc + ".fprog_p50");
-    r.fprogP95 = member(*realized, "fprog_p95", rc).asInt(rc + ".fprog_p95");
-    r.fprogMax = member(*realized, "fprog_max", rc).asInt(rc + ".fprog_max");
-    r.fackP50 = member(*realized, "fack_p50", rc).asInt(rc + ".fack_p50");
-    r.fackP95 = member(*realized, "fack_p95", rc).asInt(rc + ".fack_p95");
-    r.fackMax = member(*realized, "fack_max", rc).asInt(rc + ".fack_max");
-    r.fittedFprog = member(*realized, "fitted_fprog", rc).asInt(rc + ".fitted_fprog");
-    r.fittedFack = member(*realized, "fitted_fack", rc).asInt(rc + ".fitted_fack");
-    r.ackSamples = static_cast<std::uint64_t>(
-        member(*realized, "ack_samples", rc).asInt(rc + ".ack_samples"));
-    r.progSamples = static_cast<std::uint64_t>(
-        member(*realized, "prog_samples", rc).asInt(rc + ".prog_samples"));
+    readFields(record.realized, kRealizedFields, *realized,
+               context + ".realized");
   }
   record.error = member(value, "error", context).asString(context + ".error");
   record.result.solved =
       member(value, "solved", context).asBool(context + ".solved");
-  record.result.solveTime =
-      member(value, "solve_time", context).asInt(context + ".solve_time");
-  record.result.endTime =
-      member(value, "end_time", context).asInt(context + ".end_time");
+  record.result.solveTime = nonNegative(member(value, "solve_time", context),
+                                        context + ".solve_time");
+  record.result.endTime = nonNegative(member(value, "end_time", context),
+                                      context + ".end_time");
   record.result.status = runStatusFromString(
       member(value, "status", context).asString(context + ".status"));
   if (const Value* retransmits = value.find("retransmits");
       retransmits != nullptr) {
     record.result.retransmits = static_cast<std::uint64_t>(
-        retransmits->asInt(context + ".retransmits"));
+        nonNegative(*retransmits, context + ".retransmits"));
   }
-
-  const Value& stats = member(value, "stats", context);
-  const std::string statsContext = context + ".stats";
-  record.result.stats.bcasts = static_cast<std::uint64_t>(
-      member(stats, "bcasts", statsContext).asInt(statsContext + ".bcasts"));
-  record.result.stats.rcvs = static_cast<std::uint64_t>(
-      member(stats, "rcvs", statsContext).asInt(statsContext + ".rcvs"));
-  record.result.stats.forcedRcvs = static_cast<std::uint64_t>(
-      member(stats, "forced_rcvs", statsContext).asInt(statsContext + ".forced_rcvs"));
-  record.result.stats.acks = static_cast<std::uint64_t>(
-      member(stats, "acks", statsContext).asInt(statsContext + ".acks"));
-  record.result.stats.aborts = static_cast<std::uint64_t>(
-      member(stats, "aborts", statsContext).asInt(statsContext + ".aborts"));
-  record.result.stats.delivers = static_cast<std::uint64_t>(
-      member(stats, "delivers", statsContext).asInt(statsContext + ".delivers"));
-  record.result.stats.arrives = static_cast<std::uint64_t>(
-      member(stats, "arrives", statsContext).asInt(statsContext + ".arrives"));
+  readFields(record.result.stats, kStatsFields,
+             member(value, "stats", context), context + ".stats");
 
   const Value& messages = member(value, "messages", context);
   const std::string mmContext = context + ".messages";
   core::MessageMetrics& mm = record.result.messages;
-  mm.arrived = static_cast<std::uint64_t>(
-      member(messages, "arrived", mmContext).asInt(mmContext + ".arrived"));
-  mm.completed = static_cast<std::uint64_t>(
-      member(messages, "completed", mmContext).asInt(mmContext + ".completed"));
-  mm.p50Latency =
-      member(messages, "p50_latency", mmContext).asInt(mmContext + ".p50_latency");
-  mm.p95Latency =
-      member(messages, "p95_latency", mmContext).asInt(mmContext + ".p95_latency");
-  mm.maxLatency =
-      member(messages, "max_latency", mmContext).asInt(mmContext + ".max_latency");
-  mm.meanLatency =
-      member(messages, "mean_latency", mmContext).asDouble(mmContext + ".mean_latency");
-  for (const Value& entry :
-       member(messages, "per_message", mmContext).asArray(mmContext)) {
-    const Array& triple = entry.asArray(mmContext + ".per_message[]");
+  readFields(mm, kMessageFields, messages, mmContext);
+  const Array& entries = member(messages, "per_message", mmContext)
+                             .asArray(mmContext + ".per_message");
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const std::string path =
+        mmContext + ".per_message[" + std::to_string(i) + "]";
+    const Array& triple = entries[i].asArray(path);
     AMMB_REQUIRE(triple.size() == 3,
-                 mmContext + ".per_message entries must be [msg, arrive_at, "
-                             "complete_at] triples");
+                 path + " must be a [msg, arrive_at, complete_at] triple");
+    const std::int64_t msg = nonNegative(triple[0], path);
+    AMMB_REQUIRE(msg <= INT32_MAX, path + " message id out of range");
     core::MessageMetric pm;
-    pm.msg = static_cast<MsgId>(triple[0].asInt(mmContext));
-    pm.arriveAt = triple[1].asInt(mmContext);
-    pm.completeAt = triple[2].asInt(mmContext);
+    pm.msg = static_cast<MsgId>(msg);
+    pm.arriveAt = nonNegative(triple[1], path);
+    pm.completeAt = nonNegative(triple[2], path);
+    AMMB_REQUIRE(!pm.completed() || pm.arriveAt <= pm.completeAt,
+                 path + " completes before it arrives");
     mm.perMessage.push_back(pm);
   }
 

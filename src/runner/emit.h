@@ -17,6 +17,8 @@
 
 #include <iosfwd>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "runner/json.h"
@@ -47,6 +49,53 @@ std::string toJson(const SweepResult& result);
 sim::RunStatus runStatusFromString(const std::string& name);
 
 // --- mergeable per-run records ----------------------------------------------
+
+/// One numeric field of a run-record sub-object: its key (in record
+/// JSON, and for stats and realized bounds also in cell JSON and CSV
+/// headers) and the member it names.  Counters and ticks read back as
+/// non-negative integers (kTimeNever included); reals as any number.
+template <class S>
+struct RecordField {
+  const char* key;
+  std::variant<std::uint64_t S::*, Time S::*, double S::*> member;
+  bool elideZero = false;  ///< written only when non-zero; reads as 0
+};
+
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "RunPoint coordinates are declared as std::uint64_t fields");
+
+/// Grid coordinates, which aggregation checks against the grid.
+/// react_idx is elided at 0, so record files written before the
+/// reaction axis existed keep their exact bytes.
+inline const RecordField<RunPoint> kPointFields[] = {
+    {"run_index", &RunPoint::runIndex}, {"cell_index", &RunPoint::cellIndex},
+    {"topo_idx", &RunPoint::topoIdx},   {"sched_idx", &RunPoint::schedIdx},
+    {"k_idx", &RunPoint::kIdx},         {"mac_idx", &RunPoint::macIdx},
+    {"wl_idx", &RunPoint::wlIdx},       {"dyn_idx", &RunPoint::dynIdx},
+    {"react_idx", &RunPoint::reactIdx, true}, {"seed", &RunPoint::seed}};
+
+/// Engine counters, summed per cell.
+inline const RecordField<mac::EngineStats> kStatsFields[] = {
+    {"bcasts", &mac::EngineStats::bcasts},
+    {"rcvs", &mac::EngineStats::rcvs},
+    {"forced_rcvs", &mac::EngineStats::forcedRcvs},
+    {"acks", &mac::EngineStats::acks},
+    {"aborts", &mac::EngineStats::aborts},
+    {"delivers", &mac::EngineStats::delivers},
+    {"arrives", &mac::EngineStats::arrives}};
+
+/// Realized bounds: per cell, tick fields fold by max, counters by sum.
+inline const RecordField<phys::RealizedBounds> kRealizedFields[] = {
+    {"fprog_p50", &phys::RealizedBounds::fprogP50},
+    {"fprog_p95", &phys::RealizedBounds::fprogP95},
+    {"fprog_max", &phys::RealizedBounds::fprogMax},
+    {"fack_p50", &phys::RealizedBounds::fackP50},
+    {"fack_p95", &phys::RealizedBounds::fackP95},
+    {"fack_max", &phys::RealizedBounds::fackMax},
+    {"fitted_fprog", &phys::RealizedBounds::fittedFprog},
+    {"fitted_fack", &phys::RealizedBounds::fittedFack},
+    {"ack_samples", &phys::RealizedBounds::ackSamples},
+    {"prog_samples", &phys::RealizedBounds::progSamples}};
 
 /// Lossless JSON form of one RunRecord (grid coordinate, outcome,
 /// engine counters, per-message latency samples, checking results).

@@ -2,8 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "check/golden.h"
 #include "runner/axis_codec.h"
 
 namespace ammb::runner {
@@ -11,530 +14,638 @@ namespace ammb::runner {
 namespace {
 
 using json::Array;
-using json::Member;
 using json::Object;
 using json::Value;
 
-// --- enum spellings ---------------------------------------------------------
+// --- spelling tables --------------------------------------------------------
+// Every table below (enum spellings and spec families alike) is a
+// `what` plus `rows` of {value, name}; these lookups serve them all.
 
-struct TopologyKindName {
-  TopologyDoc::Kind kind;
+template <class Table>
+const auto& findByName(const Table& table, const std::string& name,
+                       const std::string& context) {
+  for (const auto& row : table.rows) {
+    if (name == row.name) return row;
+  }
+  std::string expected;
+  for (const auto& row : table.rows) {
+    expected += (expected.empty() ? "" : ", ") + std::string(row.name);
+  }
+  throw Error((context.empty() ? "" : context + ": ") + "unknown " +
+              table.what + " \"" + name + "\" (expected " + expected + ")");
+}
+
+template <class Table, class V>
+const auto* findByValue(const Table& table, V value) {
+  for (const auto& row : table.rows) {
+    if (row.value == value) return &row;
+  }
+  return static_cast<decltype(&table.rows.front())>(nullptr);
+}
+
+template <class Table, class V>
+std::string nameOf(const Table& table, V value) {
+  const auto* row = findByValue(table, value);
+  return row == nullptr ? "?" : std::string(row->name);
+}
+
+template <class E>
+struct Spellings {
+  struct Row {
+    E value;
+    std::string name;
+  };
+  const char* what;  ///< names the enum in errors
+  std::vector<Row> rows;
+};
+
+/// Enums whose names core::toString owns.
+template <class E>
+Spellings<E> spelledByCore(const char* what, std::initializer_list<E> values) {
+  Spellings<E> table{what, {}};
+  for (E value : values) table.rows.push_back({value, core::toString(value)});
+  return table;
+}
+
+const auto& spellings(core::ProtocolKind) {
+  using P = core::ProtocolKind;
+  static const auto table = spelledByCore("protocol", {P::kBmmb, P::kFmmb});
+  return table;
+}
+
+const auto& spellings(core::SchedulerKind) {
+  using S = core::SchedulerKind;
+  static const auto table = spelledByCore(
+      "scheduler", {S::kFast, S::kRandom, S::kSlowAck, S::kAdversarial,
+                    S::kAdversarialStuffing, S::kLowerBound});
+  return table;
+}
+
+using Variant = mac::ModelVariant;
+const Spellings<Variant> kVariants{
+    "MAC variant",
+    {{Variant::kStandard, "standard"}, {Variant::kEnhanced, "enhanced"}}};
+const auto& spellings(Variant) { return kVariants; }
+
+using FmmbMode = core::FmmbParams::Mode;
+const Spellings<FmmbMode> kFmmbModes{
+    "fmmb mode",
+    {{FmmbMode::kInterleaved, "interleaved"},
+     {FmmbMode::kSequential, "sequential"}}};
+const auto& spellings(FmmbMode) { return kFmmbModes; }
+
+const Spellings<CheckMode> kCheckModes{
+    "check mode",
+    {{CheckMode::kOff, "off"}, {CheckMode::kMac, "mac"},
+     {CheckMode::kFull, "full"}}};
+const auto& spellings(CheckMode) { return kCheckModes; }
+
+using Discipline = core::QueueDiscipline;
+const Spellings<Discipline> kDisciplines{
+    "queue discipline",
+    {{Discipline::kFifo, "fifo"}, {Discipline::kLifo, "lifo"},
+     {Discipline::kRandom, "random"}}};
+const auto& spellings(Discipline) { return kDisciplines; }
+
+// --- keys -------------------------------------------------------------------
+
+constexpr double kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr double kInt64Max = static_cast<double>(
+    std::numeric_limits<std::int64_t>::max());
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A key's admissible values: [lo, hi], or (lo, hi] when `openLo`.
+/// Range checks are eager so a typoed committed spec fails at
+/// `ammb_sweep print` / spec-validation time, not per-run mid-sweep.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool openLo = false;
+};
+
+// Counts and ticks share one upper bound, INT32_MAX: any count x ticks
+// product then stays below 2^62, so no schedule a spec can describe
+// overflows Time.
+constexpr Range kCount{1, kInt32Max};
+constexpr Range kIndex{0, kInt32Max};
+constexpr Range kTicks{0, kInt32Max};
+constexpr Range kPositiveTicks{1, kInt32Max};
+constexpr Range kMeanTicks{0, kInt32Max, /*openLo=*/true};
+constexpr Range kPositive{0, kInf, /*openLo=*/true};
+constexpr Range kAtLeastOne{1, kInf};
+constexpr Range kUnit{0, 1};
+constexpr Range kInt64{0, kInt64Max};
+
+std::string bound(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  return buffer;
+}
+
+void requireIn(double v, const Range& r, const std::string& path) {
+  if ((r.openLo ? v > r.lo : v >= r.lo) && v <= r.hi) return;
+  throw Error(path + " must be " +
+              (r.hi >= kInt64Max
+                   ? std::string(r.openLo ? "> " : ">= ") + bound(r.lo)
+                   : std::string("in ") + (r.openLo ? "(" : "[") +
+                         bound(r.lo) + ", " + bound(r.hi) + "]"));
+}
+
+/// One spec-file key: its name, whether it may be omitted (then the
+/// document keeps its default), its range, and how it reads and writes
+/// its slot.  The canonical writer emits keys in table order.
+template <class Doc>
+struct Key {
   const char* name;
-};
-constexpr TopologyKindName kTopologyKinds[] = {
-    {TopologyDoc::Kind::kLine, "line"},
-    {TopologyDoc::Kind::kLineR, "line-r"},
-    {TopologyDoc::Kind::kLineArb, "line-arb"},
-    {TopologyDoc::Kind::kGreyField, "grey-field"},
-    {TopologyDoc::Kind::kNetworkC, "network-c"},
+  bool required;
+  Range range;
+  void (*read)(const Key& key, Doc& doc, const Value& value,
+               const std::string& path);
+  void (*write)(const Key& key, const Doc& doc, Object& out);
 };
 
-struct WorkloadKindName {
-  WorkloadDoc::Kind kind;
+constexpr bool kRequired = true;
+constexpr bool kOptional = false;
+
+// Slot readers and writers, by slot type.  The document overloads are
+// defined with their tables below.
+void readValue(TopologyDoc&, const Value&, const std::string&, const Range&);
+void readValue(WorkloadDoc&, const Value&, const std::string&, const Range&);
+void readValue(DynamicsDoc&, const Value&, const std::string&, const Range&);
+void readValue(MacDoc&, const Value&, const std::string&, const Range&);
+Value toValue(const TopologyDoc& doc);
+Value toValue(const WorkloadDoc& doc);
+Value toValue(const DynamicsDoc& doc);
+Value toValue(const MacDoc& doc);
+
+void readValue(bool& out, const Value& v, const std::string& path,
+               const Range&) {
+  out = v.asBool(path);
+}
+
+void readValue(std::string& out, const Value& v, const std::string& path,
+               const Range&) {
+  out = v.asString(path);
+  AMMB_REQUIRE(!out.empty(), path + " must be non-empty");
+}
+
+void readValue(double& out, const Value& v, const std::string& path,
+               const Range& range) {
+  out = v.asDouble(path);
+  requireIn(out, range, path);
+}
+
+template <class T>
+std::enable_if_t<std::is_integral_v<T>> readValue(T& out, const Value& v,
+                                                  const std::string& path,
+                                                  const Range& range) {
+  const std::int64_t x = v.asInt(path);
+  requireIn(static_cast<double>(x), range, path);
+  out = static_cast<T>(x);
+}
+
+template <class E>
+std::enable_if_t<std::is_enum_v<E>> readValue(E& out, const Value& v,
+                                               const std::string& path,
+                                               const Range&) {
+  out = findByName(spellings(out), v.asString(path), path).value;
+}
+
+template <class T>
+void readValue(std::vector<T>& out, const Value& v, const std::string& path,
+               const Range& range) {
+  const Array& items = v.asArray(path);
+  AMMB_REQUIRE(!items.empty(), path + " must not be an empty array");
+  out.assign(items.size(), T{});
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    readValue(out[i], items[i], path + "[" + std::to_string(i) + "]", range);
+  }
+}
+
+template <class T>
+Value toValue(const T& value) {
+  if constexpr (std::is_enum_v<T>) {
+    return nameOf(spellings(value), value);
+  } else if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>) {
+    return static_cast<std::int64_t>(value);
+  } else {
+    return value;
+  }
+}
+
+template <class T>
+Value toValue(const std::vector<T>& items) {
+  Array out;
+  for (const T& item : items) out.push_back(toValue(item));
+  return out;
+}
+
+template <auto Member, auto... Nested>
+struct Slot {
+  template <class D>
+  static auto& in(D& doc) {
+    if constexpr (sizeof...(Nested) == 0) {
+      return doc.*Member;
+    } else {
+      return Slot<Nested...>::in(doc.*Member);
+    }
+  }
+};
+
+template <class M>
+struct OwnerOf;
+template <class T, class C>
+struct OwnerOf<T C::*> {
+  using type = C;
+};
+
+/// A key bound to the member (or nested member) it reads and writes.
+template <auto Member, auto... Nested,
+          class Doc = typename OwnerOf<decltype(Member)>::type>
+Key<Doc> key(const char* name, bool required, Range range = {}) {
+  return {name, required, range,
+          [](const Key<Doc>& k, Doc& doc, const Value& v,
+             const std::string& path) {
+            readValue(Slot<Member, Nested...>::in(doc), v, path, k.range);
+          },
+          [](const Key<Doc>& k, const Doc& doc, Object& out) {
+            out.emplace_back(k.name, toValue(Slot<Member, Nested...>::in(doc)));
+          }};
+}
+
+// --- objects and families ---------------------------------------------------
+
+/// A JSON object's keys in canonical order, plus a hook that derives
+/// defaults and checks rules spanning several keys.
+template <class Doc>
+struct Schema {
+  std::vector<Key<Doc>> keys;
+  void (*finish)(Doc& doc, const std::string& path) = nullptr;
+};
+
+/// Reads every key of `schema` from `value`, then rejects keys the
+/// schema does not declare (other than `skip`), so a typoed axis fails
+/// loudly instead of silently vanishing from a campaign.
+template <class Doc>
+void readKeys(const Schema<Doc>& schema, Doc& doc, const Value& value,
+              const std::string& path, const char* skip = "") {
+  const Object& members = value.asObject(path);
+  for (const Key<Doc>& key : schema.keys) {
+    if (const Value* v = value.find(key.name); v != nullptr) {
+      key.read(key, doc, *v, path + "." + key.name);
+    } else if (key.required) {
+      throw Error(path + " is missing required field \"" + key.name + "\"");
+    }
+  }
+  for (const json::Member& member : members) {
+    bool known = member.first == skip;
+    for (const Key<Doc>& key : schema.keys) known |= member.first == key.name;
+    if (!known) {
+      throw Error(path + " has unknown field \"" + member.first + "\"");
+    }
+  }
+  if (schema.finish != nullptr) schema.finish(doc, path);
+}
+
+template <class Doc>
+Object writeKeys(const Schema<Doc>& schema, const Doc& doc,
+                 Object out = {}) {
+  for (const Key<Doc>& key : schema.keys) key.write(key, doc, out);
+  return out;
+}
+
+template <class Doc>
+auto& kindOf(Doc& doc) {
+  if constexpr (std::is_same_v<std::remove_const_t<Doc>, DynamicsDoc>) {
+    return doc.spec.kind;
+  } else {
+    return doc.kind;
+  }
+}
+
+/// One family of an axis: its "kind" spelling, its keys (copies of
+/// pooled keys, so a key several families share is declared once), and
+/// the sweep_spec.h builder it calls.
+template <class Doc, class Built>
+struct Family {
   const char* name;
-};
-constexpr WorkloadKindName kWorkloadKinds[] = {
-    {WorkloadDoc::Kind::kAllAtNode, "all-at-node"},
-    {WorkloadDoc::Kind::kRoundRobin, "round-robin"},
-    {WorkloadDoc::Kind::kSpread, "spread"},
-    {WorkloadDoc::Kind::kRandom, "random"},
-    {WorkloadDoc::Kind::kOnline, "online"},
-    {WorkloadDoc::Kind::kPoisson, "poisson"},
-    {WorkloadDoc::Kind::kBursty, "bursty"},
-    {WorkloadDoc::Kind::kStaggered, "staggered"},
+  std::remove_reference_t<decltype(kindOf(std::declval<Doc&>()))> value;
+  Schema<Doc> schema;
+  Built (*build)(const Doc& doc);
 };
 
-constexpr core::SchedulerKind kAllSchedulers[] = {
-    core::SchedulerKind::kFast,
-    core::SchedulerKind::kRandom,
-    core::SchedulerKind::kSlowAck,
-    core::SchedulerKind::kAdversarial,
-    core::SchedulerKind::kAdversarialStuffing,
-    core::SchedulerKind::kLowerBound,
-};
+template <class Doc, class Built>
+struct Families {
+  const char* what;
+  std::vector<Family<Doc, Built>> rows;
 
-TopologyDoc::Kind topologyKindFromString(const std::string& name,
-                                          const std::string& context) {
-  for (const auto& entry : kTopologyKinds) {
-    if (name == entry.name) return entry.kind;
+  const Family<Doc, Built>& of(const Doc& doc) const {
+    return *findByValue(*this, kindOf(doc));
   }
-  throw Error(context + ": unknown topology kind \"" + name +
-              "\" (expected line, line-r, line-arb, grey-field, network-c)");
-}
+};
 
-WorkloadDoc::Kind workloadKindFromString(const std::string& name,
-                                          const std::string& context) {
-  for (const auto& entry : kWorkloadKinds) {
-    if (name == entry.name) return entry.kind;
+constexpr const char* kKind = "kind";
+
+template <class Doc, class Built>
+void readFamily(const Families<Doc, Built>& families, Doc& doc,
+                const Value& value, const std::string& path) {
+  value.asObject(path);  // a non-object fails naming its path
+  const Value* kind = value.find(kKind);
+  if (kind == nullptr) {
+    throw Error(path + " is missing required field \"" + kKind + "\"");
   }
-  throw Error(
-      context + ": unknown workload kind \"" + name +
-      "\" (expected all-at-node, round-robin, spread, random, online, "
-      "poisson, bursty, staggered)");
+  const std::string kindPath = path + "." + kKind;
+  const auto& family =
+      findByName(families, kind->asString(kindPath), kindPath);
+  kindOf(doc) = family.value;
+  readKeys(family.schema, doc, value, path, kKind);
 }
 
-core::ProtocolKind protocolFromString(const std::string& name,
-                                      const std::string& context) {
-  if (name == "bmmb") return core::ProtocolKind::kBmmb;
-  if (name == "fmmb") return core::ProtocolKind::kFmmb;
-  throw Error(context + ": unknown protocol \"" + name +
-              "\" (expected bmmb or fmmb)");
+template <class Doc, class Built>
+Value writeFamily(const Families<Doc, Built>& families, const Doc& doc) {
+  const auto& family = families.of(doc);
+  return writeKeys(family.schema, doc, {{kKind, family.name}});
 }
 
-mac::ModelVariant variantFromString(const std::string& name,
-                                    const std::string& context) {
-  if (name == "standard") return mac::ModelVariant::kStandard;
-  if (name == "enhanced") return mac::ModelVariant::kEnhanced;
-  throw Error(context + ": unknown MAC variant \"" + name +
-              "\" (expected standard or enhanced)");
+// --- the spec families ------------------------------------------------------
+// A new family is one row: its kind, its keys (from the pool above the
+// table), and its builder.
+
+using Topo = TopologyDoc;
+const Key<Topo> kTopoN = key<&Topo::n>("n", kRequired, kCount);
+const Key<Topo> kTopoR = key<&Topo::r>("r", kRequired, kCount);
+const Key<Topo> kTopoEdgeProb =
+    key<&Topo::edgeProb>("edge_prob", kRequired, kUnit);
+const Key<Topo> kTopoExtra =
+    key<&Topo::extraEdges>("extra_edges", kRequired, kIndex);
+const Key<Topo> kTopoDegree =
+    key<&Topo::avgDegree>("avg_degree", kRequired, kPositive);
+const Key<Topo> kTopoC = key<&Topo::c>("c", kRequired, kAtLeastOne);
+const Key<Topo> kTopoPGrey = key<&Topo::pGrey>("p_grey", kRequired, kUnit);
+const Key<Topo> kTopoD = key<&Topo::d>("d", kRequired, kCount);
+
+const Families<Topo, TopologySpec> kTopologies{
+    "topology kind",
+    {{"line", Topo::Kind::kLine, {{kTopoN}},
+      [](const Topo& t) { return lineTopology(t.n); }},
+     {"line-r", Topo::Kind::kLineR, {{kTopoN, kTopoR, kTopoEdgeProb}},
+      [](const Topo& t) {
+        return rRestrictedLineTopology(t.n, t.r, t.edgeProb);
+      }},
+     {"line-arb", Topo::Kind::kLineArb, {{kTopoN, kTopoExtra}},
+      [](const Topo& t) {
+        return arbitraryNoiseLineTopology(
+            t.n, static_cast<std::size_t>(t.extraEdges));
+      }},
+     {"grey-field", Topo::Kind::kGreyField,
+      {{kTopoN, kTopoDegree, kTopoC, kTopoPGrey}},
+      [](const Topo& t) {
+        return greyZoneFieldTopology(t.n, t.avgDegree, t.c, t.pGrey);
+      }},
+     {"network-c", Topo::Kind::kNetworkC, {{kTopoD}},
+      [](const Topo& t) { return lowerBoundNetworkCTopology(t.d); }}}};
+
+using Work = WorkloadDoc;
+const Key<Work> kWorkNode = key<&Work::node>("node", kOptional, kIndex);
+const Key<Work> kWorkSources =
+    key<&Work::sources>("sources", kRequired, kCount);
+const Key<Work> kWorkInterval =
+    key<&Work::interval>("interval", kRequired, kTicks);
+const Key<Work> kWorkMeanGap =
+    key<&Work::meanGap>("mean_gap", kRequired, kMeanTicks);
+const Key<Work> kWorkBatch = key<&Work::batch>("batch", kRequired, kCount);
+const Key<Work> kWorkGap = key<&Work::gap>("gap", kRequired, kTicks);
+
+const Families<Work, WorkloadSpec> kWorkloads{
+    "workload kind",
+    {{"all-at-node", Work::Kind::kAllAtNode, {{kWorkNode}},
+      [](const Work& w) { return allAtNodeWorkload(w.node); }},
+     {"round-robin", Work::Kind::kRoundRobin, {},
+      [](const Work&) { return roundRobinWorkload(); }},
+     {"spread", Work::Kind::kSpread, {},
+      [](const Work&) { return spreadWorkload(); }},
+     {"random", Work::Kind::kRandom, {},
+      [](const Work&) { return randomWorkload(); }},
+     {"online", Work::Kind::kOnline, {{kWorkInterval}},
+      [](const Work& w) { return onlineWorkload(w.interval); }},
+     {"poisson", Work::Kind::kPoisson, {{kWorkMeanGap}},
+      [](const Work& w) { return poissonWorkload(w.meanGap); }},
+     {"bursty", Work::Kind::kBursty, {{kWorkBatch, kWorkGap}},
+      [](const Work& w) { return burstyWorkload(w.batch, w.gap); }},
+     {"staggered", Work::Kind::kStaggered, {{kWorkSources, kWorkInterval}},
+      [](const Work& w) {
+        return staggeredWorkload(w.sources, w.interval);
+      }}}};
+
+using Dyn = DynamicsDoc;
+using DynSpec = core::DynamicsSpec;
+const Key<Dyn> kDynCrashes =
+    key<&Dyn::spec, &DynSpec::crashes>("crashes", kRequired, kCount);
+const Key<Dyn> kDynEpochs =
+    key<&Dyn::spec, &DynSpec::epochs>("epochs", kRequired, kCount);
+const Key<Dyn> kDynPeriod =
+    key<&Dyn::spec, &DynSpec::period>("period", kRequired, kPositiveTicks);
+const Key<Dyn> kDynDownFor =
+    key<&Dyn::spec, &DynSpec::downFor>("down_for", kRequired, kPositiveTicks);
+const Key<Dyn> kDynChurn =
+    key<&Dyn::spec, &DynSpec::churn>("churn", kRequired, kUnit);
+const Key<Dyn> kDynName = key<&Dyn::name>("name", kOptional);
+
+void nameDynamics(Dyn& d, const std::string&) {
+  if (d.name.empty()) d.name = d.spec.label();
 }
 
-std::string toString(mac::ModelVariant variant) {
-  return variant == mac::ModelVariant::kEnhanced ? "enhanced" : "standard";
-}
+const Families<Dyn, DynamicsSpecNamed> kDynamics{
+    "dynamics kind",
+    {{"static", DynSpec::Kind::kStatic, {{kDynName}, nameDynamics},
+      [](const Dyn&) { return staticDynamics(); }},
+     {"crash", DynSpec::Kind::kCrash,
+      {{kDynCrashes, kDynPeriod, kDynDownFor, kDynName},
+       [](Dyn& d, const std::string& path) {
+         AMMB_REQUIRE(d.spec.downFor < d.spec.period,
+                      path + ".down_for must satisfy 0 < down_for < period");
+         nameDynamics(d, path);
+       }},
+      [](const Dyn& d) {
+        return crashDynamics(d.spec.crashes, d.spec.period, d.spec.downFor);
+      }},
+     {"grey-drift", DynSpec::Kind::kGreyDrift,
+      {{kDynEpochs, kDynPeriod, kDynChurn, kDynName}, nameDynamics},
+      [](const Dyn& d) {
+        return greyDriftDynamics(d.spec.epochs, d.spec.period, d.spec.churn);
+      }}}};
 
-core::FmmbParams::Mode fmmbModeFromString(const std::string& name,
-                                          const std::string& context) {
-  if (name == "interleaved") return core::FmmbParams::Mode::kInterleaved;
-  if (name == "sequential") return core::FmmbParams::Mode::kSequential;
-  throw Error(context + ": unknown fmmb mode \"" + name +
-              "\" (expected interleaved or sequential)");
-}
+// --- macs and fmmb ----------------------------------------------------------
 
-std::string toString(core::FmmbParams::Mode mode) {
-  return mode == core::FmmbParams::Mode::kSequential ? "sequential"
-                                                     : "interleaved";
-}
-
-// --- field reader -----------------------------------------------------------
-
-/// Object accessor that remembers which keys were consumed, so unknown
-/// (typoed) keys fail loudly instead of silently dropping an axis.
-class Fields {
- public:
-  Fields(const Value& value, std::string context)
-      : context_(std::move(context)),
-        members_(value.asObject(context_)),
-        used_(members_.size(), false) {}
-
-  const Value* find(const std::string& key) {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      if (members_[i].first == key) {
-        used_[i] = true;
-        return &members_[i].second;
+using mac::MacParams;
+const Schema<MacDoc> kMac{
+    {key<&MacDoc::name>("name", kOptional),
+     key<&MacDoc::params, &MacParams::fack>("fack", kOptional, kPositiveTicks),
+     key<&MacDoc::params, &MacParams::fprog>("fprog", kOptional,
+                                             kPositiveTicks),
+     key<&MacDoc::params, &MacParams::epsAbort>("eps_abort", kOptional,
+                                                kTicks),
+     key<&MacDoc::params, &MacParams::msgCapacity>("msg_capacity", kOptional,
+                                                   kCount),
+     key<&MacDoc::params, &MacParams::variant>("variant", kOptional)},
+    [](MacDoc& m, const std::string&) {
+      if (m.name.empty()) {
+        m.name = "f" + std::to_string(m.params.fprog) + "a" +
+                 std::to_string(m.params.fack);
       }
-    }
-    return nullptr;
-  }
+      m.params.validate();
+    }};
 
-  const Value& require(const std::string& key) {
-    const Value* v = find(key);
-    if (v == nullptr) {
-      throw Error(context_ + " is missing required field \"" + key + "\"");
-    }
-    return *v;
-  }
+const Schema<FmmbDoc> kFmmb{
+    {key<&FmmbDoc::c>("c", kOptional, kAtLeastOne),
+     key<&FmmbDoc::mode>("mode", kOptional),
+     key<&FmmbDoc::strictPaperPhases>("strict_paper_phases", kOptional)}};
 
-  std::string path(const std::string& key) const {
-    return context_ + "." + key;
-  }
+void readValue(TopologyDoc& out, const Value& v, const std::string& path,
+               const Range&) {
+  readFamily(kTopologies, out, v, path);
+}
+void readValue(WorkloadDoc& out, const Value& v, const std::string& path,
+               const Range&) {
+  readFamily(kWorkloads, out, v, path);
+}
+void readValue(DynamicsDoc& out, const Value& v, const std::string& path,
+               const Range&) {
+  readFamily(kDynamics, out, v, path);
+}
+void readValue(MacDoc& out, const Value& v, const std::string& path,
+               const Range&) {
+  readKeys(kMac, out, v, path);
+}
+Value toValue(const TopologyDoc& doc) { return writeFamily(kTopologies, doc); }
+Value toValue(const WorkloadDoc& doc) { return writeFamily(kWorkloads, doc); }
+Value toValue(const DynamicsDoc& doc) { return writeFamily(kDynamics, doc); }
+Value toValue(const MacDoc& doc) { return writeKeys(kMac, doc); }
 
-  std::int64_t requireInt(const std::string& key) {
-    return require(key).asInt(path(key));
-  }
-  double requireDouble(const std::string& key) {
-    return require(key).asDouble(path(key));
-  }
-  std::string requireString(const std::string& key) {
-    return require(key).asString(path(key));
-  }
+// --- the root object --------------------------------------------------------
 
-  std::int64_t optInt(const std::string& key, std::int64_t fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asInt(path(key));
+const AxisCodec& codecFor(const Key<SpecDoc>& key) {
+  for (const AxisCodec& codec : axisCodecs()) {
+    if (std::string(key.name) == codec.specKey) return codec;
   }
-  bool optBool(const std::string& key, bool fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asBool(path(key));
-  }
-  double optDouble(const std::string& key, double fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asDouble(path(key));
-  }
-  std::string optString(const std::string& key, const std::string& fallback) {
-    const Value* v = find(key);
-    return v == nullptr ? fallback : v->asString(path(key));
-  }
+  throw Error(std::string("no execution axis has spec key ") + key.name);
+}
 
-  /// Call after reading every known field.
-  void rejectUnknown() const {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      if (!used_[i]) {
-        throw Error(context_ + " has unknown field \"" + members_[i].first +
-                    "\"");
+/// The execution axes (mac / reactions / backend / trace_mode) parse
+/// and elide through the AxisCodec table, with errors naming the full
+/// key path.
+Key<SpecDoc> axisKey(const char* axis) {
+  return {axisCodec(axis).specKey, kOptional, {},
+          [](const Key<SpecDoc>& k, SpecDoc& doc, const Value& v,
+             const std::string& path) {
+            const AxisCodec& codec = codecFor(k);
+            std::vector<std::string> labels(1);
+            if (codec.multi) {
+              readValue(labels, v, path, {});
+            } else {
+              labels[0] = v.asString(path);
+            }
+            for (std::size_t i = 0; i < labels.size(); ++i) {
+              try {
+                codec.parseInto(doc, labels[i], i == 0);
+              } catch (const std::exception& e) {
+                throw Error(path +
+                            (codec.multi ? "[" + std::to_string(i) + "]" : "") +
+                            ": " + e.what());
+              }
+            }
+          },
+          [](const Key<SpecDoc>& k, const SpecDoc& doc, Object& out) {
+            emitSpecAxis(out, doc, codecFor(k));
+          }};
+}
+
+const Schema<SpecDoc> kRoot{
+    {key<&SpecDoc::name>("name", kRequired),
+     key<&SpecDoc::protocol>("protocol", kRequired),
+     key<&SpecDoc::topologies>("topologies", kRequired),
+     key<&SpecDoc::schedulers>("schedulers", kRequired),
+     key<&SpecDoc::ks>("ks", kRequired, kCount),
+     key<&SpecDoc::macs>("macs", kRequired),
+     key<&SpecDoc::workloads>("workloads", kRequired),
+     key<&SpecDoc::dynamics>("dynamics", kOptional),
+     // The reaction axis, like "mac" and "backend" below, is written
+     // only off its default, so every pre-existing spec's canonical
+     // form (and fingerprint) is unchanged; when present it changes
+     // results and so is part of the fingerprint.
+     axisKey("reaction"),
+     key<&SpecDoc::seedBegin>("seed_begin", kRequired, kInt64),
+     key<&SpecDoc::seedEnd>("seed_end", kRequired, kInt64),
+     key<&SpecDoc::stopOnSolve>("stop_on_solve", kOptional),
+     key<&SpecDoc::recordTrace>("record_trace", kOptional),
+     key<&SpecDoc::check>("check", kOptional),
+     {"max_time", kOptional, kInt64,
+      [](const Key<SpecDoc>& k, SpecDoc& doc, const Value& v,
+         const std::string& path) {
+        doc.maxTime = kTimeNever;
+        if (!v.isNull()) readValue(doc.maxTime, v, path, k.range);
+      },
+      [](const Key<SpecDoc>& k, const SpecDoc& doc, Object& out) {
+        out.emplace_back(k.name, doc.maxTime == kTimeNever
+                                     ? Value(nullptr)
+                                     : Value(doc.maxTime));
+      }},
+     key<&SpecDoc::maxEvents>("max_events", kOptional, {1, kInt64Max}),
+     key<&SpecDoc::discipline>("discipline", kOptional),
+     key<&SpecDoc::lowerBoundLineLength>("lower_bound_line_length", kOptional,
+                                         kIndex),
+     axisKey("mac"),
+     axisKey("backend"),
+     axisKey("trace"),
+     {"fmmb", kOptional, {},
+      [](const Key<SpecDoc>&, SpecDoc& doc, const Value& v,
+         const std::string& path) {
+        doc.hasFmmb = true;
+        readKeys(kFmmb, doc.fmmb, v, path);
+      },
+      [](const Key<SpecDoc>& k, const SpecDoc& doc, Object& out) {
+        if (doc.hasFmmb) out.emplace_back(k.name, writeKeys(kFmmb, doc.fmmb));
+      }}},
+    [](SpecDoc& doc, const std::string& path) {
+      // Network C needs two lines of at least two nodes each.
+      AMMB_REQUIRE(doc.lowerBoundLineLength == 0 ||
+                       doc.lowerBoundLineLength >= 2,
+                   path + ".lower_bound_line_length must be 0 (unset) or "
+                          "at least 2");
+      if (doc.protocol == core::ProtocolKind::kFmmb) {
+        AMMB_REQUIRE(doc.hasFmmb,
+                     "fmmb sweeps need a \"fmmb\" parameter object");
+      } else {
+        AMMB_REQUIRE(!doc.hasFmmb,
+                     "\"fmmb\" is set but the sweep protocol is bmmb — the "
+                     "parameters would be silently ignored");
       }
-    }
-  }
-
- private:
-  std::string context_;
-  const Object& members_;
-  std::vector<bool> used_;
-};
-
-int toIntField(std::int64_t v, const std::string& context) {
-  AMMB_REQUIRE(v >= INT32_MIN && v <= INT32_MAX,
-               context + " out of 32-bit range");
-  return static_cast<int>(v);
-}
-
-void requirePositive(std::int64_t v, const std::string& context) {
-  AMMB_REQUIRE(v >= 1, context + " must be at least 1");
-}
-
-void requireNonNegative(std::int64_t v, const std::string& context) {
-  AMMB_REQUIRE(v >= 0, context + " must be non-negative");
-}
-
-void requireProbability(double v, const std::string& context) {
-  AMMB_REQUIRE(v >= 0.0 && v <= 1.0, context + " must be in [0, 1]");
-}
-
-// --- per-section parsers ----------------------------------------------------
-
-TopologyDoc parseTopology(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  TopologyDoc doc;
-  doc.kind = topologyKindFromString(f.requireString("kind"), f.path("kind"));
-  // Range checks are eager so a typoed committed spec fails at
-  // `ammb_sweep print` / spec-validation time, not per-run mid-sweep.
-  switch (doc.kind) {
-    case TopologyDoc::Kind::kLine:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      break;
-    case TopologyDoc::Kind::kLineR:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      doc.r = toIntField(f.requireInt("r"), f.path("r"));
-      requirePositive(doc.r, f.path("r"));
-      doc.edgeProb = f.requireDouble("edge_prob");
-      requireProbability(doc.edgeProb, f.path("edge_prob"));
-      break;
-    case TopologyDoc::Kind::kLineArb:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      doc.extraEdges = f.requireInt("extra_edges");
-      requireNonNegative(doc.extraEdges, f.path("extra_edges"));
-      break;
-    case TopologyDoc::Kind::kGreyField:
-      doc.n = toIntField(f.requireInt("n"), f.path("n"));
-      requirePositive(doc.n, f.path("n"));
-      doc.avgDegree = f.requireDouble("avg_degree");
-      AMMB_REQUIRE(doc.avgDegree > 0.0,
-                   f.path("avg_degree") + " must be positive");
-      doc.c = f.requireDouble("c");
-      AMMB_REQUIRE(doc.c >= 1.0, f.path("c") + " must be >= 1");
-      doc.pGrey = f.requireDouble("p_grey");
-      requireProbability(doc.pGrey, f.path("p_grey"));
-      break;
-    case TopologyDoc::Kind::kNetworkC:
-      doc.d = toIntField(f.requireInt("d"), f.path("d"));
-      requirePositive(doc.d, f.path("d"));
-      break;
-  }
-  f.rejectUnknown();
-  return doc;
-}
-
-WorkloadDoc parseWorkload(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  WorkloadDoc doc;
-  doc.kind = workloadKindFromString(f.requireString("kind"), f.path("kind"));
-  switch (doc.kind) {
-    case WorkloadDoc::Kind::kAllAtNode:
-      doc.node = toIntField(f.optInt("node", 0), f.path("node"));
-      requireNonNegative(doc.node, f.path("node"));
-      break;
-    case WorkloadDoc::Kind::kRoundRobin:
-    case WorkloadDoc::Kind::kSpread:
-    case WorkloadDoc::Kind::kRandom:
-      break;
-    case WorkloadDoc::Kind::kOnline:
-      doc.interval = f.requireInt("interval");
-      requireNonNegative(doc.interval, f.path("interval"));
-      break;
-    case WorkloadDoc::Kind::kPoisson:
-      doc.meanGap = f.requireDouble("mean_gap");
-      AMMB_REQUIRE(doc.meanGap > 0.0, f.path("mean_gap") +
-                                          " must be positive");
-      break;
-    case WorkloadDoc::Kind::kBursty:
-      doc.batch = toIntField(f.requireInt("batch"), f.path("batch"));
-      requirePositive(doc.batch, f.path("batch"));
-      doc.gap = f.requireInt("gap");
-      requireNonNegative(doc.gap, f.path("gap"));
-      break;
-    case WorkloadDoc::Kind::kStaggered:
-      doc.sources = toIntField(f.requireInt("sources"), f.path("sources"));
-      requirePositive(doc.sources, f.path("sources"));
-      doc.interval = f.requireInt("interval");
-      requireNonNegative(doc.interval, f.path("interval"));
-      break;
-  }
-  f.rejectUnknown();
-  return doc;
-}
-
-MacDoc parseMac(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  MacDoc doc;
-  doc.params.fack = f.optInt("fack", doc.params.fack);
-  doc.params.fprog = f.optInt("fprog", doc.params.fprog);
-  doc.params.epsAbort = f.optInt("eps_abort", doc.params.epsAbort);
-  doc.params.msgCapacity = toIntField(
-      f.optInt("msg_capacity", doc.params.msgCapacity), f.path("msg_capacity"));
-  doc.params.variant =
-      variantFromString(f.optString("variant", "standard"), f.path("variant"));
-  doc.name = f.optString("name", "f" + std::to_string(doc.params.fprog) + "a" +
-                                     std::to_string(doc.params.fack));
-  AMMB_REQUIRE(!doc.name.empty(), context + ".name must be non-empty");
-  f.rejectUnknown();
-  doc.params.validate();
-  return doc;
-}
-
-core::DynamicsSpec::Kind dynamicsKindFromString(const std::string& name,
-                                                const std::string& context) {
-  if (name == "static") return core::DynamicsSpec::Kind::kStatic;
-  if (name == "crash") return core::DynamicsSpec::Kind::kCrash;
-  if (name == "grey-drift") return core::DynamicsSpec::Kind::kGreyDrift;
-  throw Error(context + ": unknown dynamics kind \"" + name +
-              "\" (expected static, crash, grey-drift)");
-}
-
-std::string toString(core::DynamicsSpec::Kind kind) {
-  switch (kind) {
-    case core::DynamicsSpec::Kind::kStatic: return "static";
-    case core::DynamicsSpec::Kind::kCrash: return "crash";
-    case core::DynamicsSpec::Kind::kGreyDrift: return "grey-drift";
-  }
-  return "?";
-}
-
-DynamicsDoc parseDynamics(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  DynamicsDoc doc;
-  doc.spec.kind =
-      dynamicsKindFromString(f.requireString("kind"), f.path("kind"));
-  switch (doc.spec.kind) {
-    case core::DynamicsSpec::Kind::kStatic:
-      break;
-    case core::DynamicsSpec::Kind::kCrash:
-      doc.spec.crashes =
-          toIntField(f.requireInt("crashes"), f.path("crashes"));
-      requirePositive(doc.spec.crashes, f.path("crashes"));
-      doc.spec.period = f.requireInt("period");
-      requirePositive(doc.spec.period, f.path("period"));
-      doc.spec.downFor = f.requireInt("down_for");
-      AMMB_REQUIRE(doc.spec.downFor >= 1 &&
-                       doc.spec.downFor < doc.spec.period,
-                   f.path("down_for") + " must satisfy 0 < down_for < period");
-      break;
-    case core::DynamicsSpec::Kind::kGreyDrift:
-      doc.spec.epochs = toIntField(f.requireInt("epochs"), f.path("epochs"));
-      requirePositive(doc.spec.epochs, f.path("epochs"));
-      doc.spec.period = f.requireInt("period");
-      requirePositive(doc.spec.period, f.path("period"));
-      doc.spec.churn = f.requireDouble("churn");
-      requireProbability(doc.spec.churn, f.path("churn"));
-      break;
-  }
-  doc.name = f.optString("name", doc.spec.label());
-  AMMB_REQUIRE(!doc.name.empty(), context + ".name must be non-empty");
-  f.rejectUnknown();
-  return doc;
-}
-
-FmmbDoc parseFmmb(const Value& value, const std::string& context) {
-  Fields f(value, context);
-  FmmbDoc doc;
-  doc.c = f.optDouble("c", doc.c);
-  doc.mode =
-      fmmbModeFromString(f.optString("mode", "interleaved"), f.path("mode"));
-  doc.strictPaperPhases = f.optBool("strict_paper_phases", false);
-  f.rejectUnknown();
-  AMMB_REQUIRE(doc.c >= 1.0, context + ".c must be >= 1");
-  return doc;
-}
+    }};
 
 }  // namespace
 
 // --- public enum spellings --------------------------------------------------
 
-std::string toString(TopologyDoc::Kind kind) {
-  for (const auto& entry : kTopologyKinds) {
-    if (kind == entry.kind) return entry.name;
-  }
-  return "?";
-}
-
-std::string toString(WorkloadDoc::Kind kind) {
-  for (const auto& entry : kWorkloadKinds) {
-    if (kind == entry.kind) return entry.name;
-  }
-  return "?";
-}
+std::string toString(TopologyDoc::Kind k) { return nameOf(kTopologies, k); }
+std::string toString(WorkloadDoc::Kind k) { return nameOf(kWorkloads, k); }
+std::string toString(CheckMode m) { return nameOf(kCheckModes, m); }
+std::string toString(Discipline d) { return nameOf(kDisciplines, d); }
 
 core::SchedulerKind schedulerFromString(const std::string& name) {
-  for (core::SchedulerKind kind : kAllSchedulers) {
-    if (name == core::toString(kind)) return kind;
-  }
-  throw Error(
-      "unknown scheduler \"" + name +
-      "\" (expected fast, random, slow-ack, adversarial, adversarial+stuff, "
-      "lower-bound)");
+  return findByName(spellings(core::SchedulerKind{}), name, "").value;
 }
-
 CheckMode checkModeFromString(const std::string& name) {
-  for (CheckMode mode : {CheckMode::kOff, CheckMode::kMac, CheckMode::kFull}) {
-    if (name == toString(mode)) return mode;
-  }
-  throw Error("unknown check mode \"" + name +
-              "\" (expected off, mac, full)");
+  return findByName(kCheckModes, name, "").value;
+}
+Discipline disciplineFromString(const std::string& name) {
+  return findByName(kDisciplines, name, "").value;
 }
 
-std::string toString(core::QueueDiscipline discipline) {
-  switch (discipline) {
-    case core::QueueDiscipline::kFifo: return "fifo";
-    case core::QueueDiscipline::kLifo: return "lifo";
-    case core::QueueDiscipline::kRandom: return "random";
-  }
-  return "?";
-}
-
-core::QueueDiscipline disciplineFromString(const std::string& name) {
-  for (core::QueueDiscipline d :
-       {core::QueueDiscipline::kFifo, core::QueueDiscipline::kLifo,
-        core::QueueDiscipline::kRandom}) {
-    if (name == toString(d)) return d;
-  }
-  throw Error("unknown queue discipline \"" + name +
-              "\" (expected fifo, lifo, random)");
-}
-
-// --- parse ------------------------------------------------------------------
+// --- parse / write / build --------------------------------------------------
 
 SpecDoc parseSpec(const std::string& jsonText) {
-  const Value root = json::parse(jsonText);
-  Fields f(root, "spec");
   SpecDoc doc;
-  doc.name = f.requireString("name");
-  AMMB_REQUIRE(!doc.name.empty(), "spec.name must be non-empty");
-  doc.protocol =
-      protocolFromString(f.requireString("protocol"), f.path("protocol"));
-
-  const Array& topologies = f.require("topologies").asArray("spec.topologies");
-  for (std::size_t i = 0; i < topologies.size(); ++i) {
-    doc.topologies.push_back(parseTopology(
-        topologies[i], "spec.topologies[" + std::to_string(i) + "]"));
-  }
-  const Array& schedulers = f.require("schedulers").asArray("spec.schedulers");
-  for (std::size_t i = 0; i < schedulers.size(); ++i) {
-    doc.schedulers.push_back(schedulerFromString(schedulers[i].asString(
-        "spec.schedulers[" + std::to_string(i) + "]")));
-  }
-  const Array& ks = f.require("ks").asArray("spec.ks");
-  for (std::size_t i = 0; i < ks.size(); ++i) {
-    const std::string context = "spec.ks[" + std::to_string(i) + "]";
-    doc.ks.push_back(toIntField(ks[i].asInt(context), context));
-  }
-  const Array& macs = f.require("macs").asArray("spec.macs");
-  for (std::size_t i = 0; i < macs.size(); ++i) {
-    doc.macs.push_back(
-        parseMac(macs[i], "spec.macs[" + std::to_string(i) + "]"));
-  }
-  const Array& workloads = f.require("workloads").asArray("spec.workloads");
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    doc.workloads.push_back(parseWorkload(
-        workloads[i], "spec.workloads[" + std::to_string(i) + "]"));
-  }
-  if (const Value* dynamics = f.find("dynamics"); dynamics != nullptr) {
-    doc.dynamics.clear();
-    const Array& entries = dynamics->asArray("spec.dynamics");
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      doc.dynamics.push_back(parseDynamics(
-          entries[i], "spec.dynamics[" + std::to_string(i) + "]"));
-    }
-    AMMB_REQUIRE(!doc.dynamics.empty(),
-                 "spec.dynamics must not be an empty array");
-  }
-  // The tagged-label execution axes (mac / reactions / backend /
-  // trace_mode) all parse through the axis table: one optional key
-  // each, defaulting, with errors naming the full key path.
-  for (const AxisCodec& codec : axisCodecs()) {
-    if (codec.multi) {
-      const Value* entriesValue = f.find(codec.specKey);
-      if (entriesValue == nullptr) continue;
-      const Array& entries = entriesValue->asArray(f.path(codec.specKey));
-      AMMB_REQUIRE(!entries.empty(), f.path(codec.specKey) +
-                                         " must not be an empty array");
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        const std::string context =
-            f.path(codec.specKey) + "[" + std::to_string(i) + "]";
-        const std::string label = entries[i].asString(context);
-        try {
-          codec.parseInto(doc, label, i == 0);
-        } catch (const std::exception& e) {
-          throw Error(context + ": " + e.what());
-        }
-      }
-      continue;
-    }
-    const std::string label = f.optString(codec.specKey, codec.defaultLabel);
-    try {
-      codec.parseInto(doc, label, true);
-    } catch (const std::exception& e) {
-      throw Error(f.path(codec.specKey) + ": " + e.what());
-    }
-  }
-
-  const std::int64_t seedBegin = f.requireInt("seed_begin");
-  const std::int64_t seedEnd = f.requireInt("seed_end");
-  AMMB_REQUIRE(seedBegin >= 0 && seedEnd >= 0,
-               "spec seed range must be non-negative");
-  doc.seedBegin = static_cast<std::uint64_t>(seedBegin);
-  doc.seedEnd = static_cast<std::uint64_t>(seedEnd);
-
-  doc.stopOnSolve = f.optBool("stop_on_solve", true);
-  doc.recordTrace = f.optBool("record_trace", false);
-  doc.check = checkModeFromString(f.optString("check", "off"));
-  if (const Value* maxTime = f.find("max_time");
-      maxTime != nullptr && !maxTime->isNull()) {
-    doc.maxTime = maxTime->asInt("spec.max_time");
-    AMMB_REQUIRE(doc.maxTime >= 0, "spec.max_time must be non-negative");
-  }
-  const std::int64_t maxEvents =
-      f.optInt("max_events", static_cast<std::int64_t>(doc.maxEvents));
-  AMMB_REQUIRE(maxEvents >= 1, "spec.max_events must be at least 1");
-  doc.maxEvents = static_cast<std::uint64_t>(maxEvents);
-  doc.discipline = disciplineFromString(f.optString("discipline", "fifo"));
-  doc.lowerBoundLineLength =
-      toIntField(f.optInt("lower_bound_line_length", 0),
-                 "spec.lower_bound_line_length");
-  if (const Value* fmmb = f.find("fmmb"); fmmb != nullptr) {
-    doc.hasFmmb = true;
-    doc.fmmb = parseFmmb(*fmmb, "spec.fmmb");
-  }
-  f.rejectUnknown();
-
-  if (doc.protocol == core::ProtocolKind::kFmmb) {
-    AMMB_REQUIRE(doc.hasFmmb, "fmmb sweeps need a \"fmmb\" parameter object");
-  } else {
-    AMMB_REQUIRE(!doc.hasFmmb,
-                 "\"fmmb\" is set but the sweep protocol is bmmb — the "
-                 "parameters would be silently ignored");
-  }
+  readKeys(kRoot, doc, json::parse(jsonText), "spec");
   return doc;
 }
 
@@ -550,182 +661,16 @@ SpecDoc loadSpecFile(const std::string& path) {
   }
 }
 
-// --- canonical writer -------------------------------------------------------
-
 std::string writeSpec(const SpecDoc& doc) {
-  Object root;
-  root.emplace_back("name", doc.name);
-  root.emplace_back("protocol", core::toString(doc.protocol));
-
-  Array topologies;
-  for (const TopologyDoc& t : doc.topologies) {
-    Object o;
-    o.emplace_back("kind", toString(t.kind));
-    switch (t.kind) {
-      case TopologyDoc::Kind::kLine:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        break;
-      case TopologyDoc::Kind::kLineR:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        o.emplace_back("r", t.r);
-        o.emplace_back("edge_prob", t.edgeProb);
-        break;
-      case TopologyDoc::Kind::kLineArb:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        o.emplace_back("extra_edges", t.extraEdges);
-        break;
-      case TopologyDoc::Kind::kGreyField:
-        o.emplace_back("n", static_cast<std::int64_t>(t.n));
-        o.emplace_back("avg_degree", t.avgDegree);
-        o.emplace_back("c", t.c);
-        o.emplace_back("p_grey", t.pGrey);
-        break;
-      case TopologyDoc::Kind::kNetworkC:
-        o.emplace_back("d", t.d);
-        break;
-    }
-    topologies.emplace_back(std::move(o));
-  }
-  root.emplace_back("topologies", std::move(topologies));
-
-  Array schedulers;
-  for (core::SchedulerKind s : doc.schedulers) {
-    schedulers.emplace_back(core::toString(s));
-  }
-  root.emplace_back("schedulers", std::move(schedulers));
-
-  Array ks;
-  for (int k : doc.ks) ks.emplace_back(k);
-  root.emplace_back("ks", std::move(ks));
-
-  Array macs;
-  for (const MacDoc& m : doc.macs) {
-    Object o;
-    o.emplace_back("name", m.name);
-    o.emplace_back("fack", m.params.fack);
-    o.emplace_back("fprog", m.params.fprog);
-    o.emplace_back("eps_abort", m.params.epsAbort);
-    o.emplace_back("msg_capacity", m.params.msgCapacity);
-    o.emplace_back("variant", toString(m.params.variant));
-    macs.emplace_back(std::move(o));
-  }
-  root.emplace_back("macs", std::move(macs));
-
-  Array workloads;
-  for (const WorkloadDoc& w : doc.workloads) {
-    Object o;
-    o.emplace_back("kind", toString(w.kind));
-    switch (w.kind) {
-      case WorkloadDoc::Kind::kAllAtNode:
-        o.emplace_back("node", static_cast<std::int64_t>(w.node));
-        break;
-      case WorkloadDoc::Kind::kRoundRobin:
-      case WorkloadDoc::Kind::kSpread:
-      case WorkloadDoc::Kind::kRandom:
-        break;
-      case WorkloadDoc::Kind::kOnline:
-        o.emplace_back("interval", w.interval);
-        break;
-      case WorkloadDoc::Kind::kPoisson:
-        o.emplace_back("mean_gap", w.meanGap);
-        break;
-      case WorkloadDoc::Kind::kBursty:
-        o.emplace_back("batch", w.batch);
-        o.emplace_back("gap", w.gap);
-        break;
-      case WorkloadDoc::Kind::kStaggered:
-        o.emplace_back("sources", w.sources);
-        o.emplace_back("interval", w.interval);
-        break;
-    }
-    workloads.emplace_back(std::move(o));
-  }
-  root.emplace_back("workloads", std::move(workloads));
-
-  Array dynamics;
-  for (const DynamicsDoc& d : doc.dynamics) {
-    Object o;
-    o.emplace_back("kind", toString(d.spec.kind));
-    switch (d.spec.kind) {
-      case core::DynamicsSpec::Kind::kStatic:
-        break;
-      case core::DynamicsSpec::Kind::kCrash:
-        o.emplace_back("crashes", d.spec.crashes);
-        o.emplace_back("period", d.spec.period);
-        o.emplace_back("down_for", d.spec.downFor);
-        break;
-      case core::DynamicsSpec::Kind::kGreyDrift:
-        o.emplace_back("epochs", d.spec.epochs);
-        o.emplace_back("period", d.spec.period);
-        o.emplace_back("churn", d.spec.churn);
-        break;
-    }
-    o.emplace_back("name", d.name);
-    dynamics.emplace_back(std::move(o));
-  }
-  root.emplace_back("dynamics", std::move(dynamics));
-
-  // The reaction axis is emitted only when non-default, so every
-  // pre-existing spec's canonical form (and fingerprint) is unchanged;
-  // a reactive axis changes results, so when present it is part of
-  // the fingerprint like "mac".
-  emitSpecAxis(root, doc, axisCodec("reaction"));
-
-  root.emplace_back("seed_begin", static_cast<std::int64_t>(doc.seedBegin));
-  root.emplace_back("seed_end", static_cast<std::int64_t>(doc.seedEnd));
-  root.emplace_back("stop_on_solve", doc.stopOnSolve);
-  root.emplace_back("record_trace", doc.recordTrace);
-  root.emplace_back("check", toString(doc.check));
-  root.emplace_back("max_time", doc.maxTime == kTimeNever
-                                    ? Value(nullptr)
-                                    : Value(doc.maxTime));
-  root.emplace_back("max_events", static_cast<std::int64_t>(doc.maxEvents));
-  root.emplace_back("discipline", toString(doc.discipline));
-  root.emplace_back("lower_bound_line_length", doc.lowerBoundLineLength);
-  // Emitted only when non-default, so every existing spec's canonical
-  // serialization (and fingerprint) is stable.  "mac" and "backend"
-  // change results, so when present they *are* part of the
-  // fingerprint.
-  emitSpecAxis(root, doc, axisCodec("mac"));
-  emitSpecAxis(root, doc, axisCodec("backend"));
-  emitSpecAxis(root, doc, axisCodec("trace"));
-  if (doc.hasFmmb) {
-    Object fmmb;
-    fmmb.emplace_back("c", doc.fmmb.c);
-    fmmb.emplace_back("mode", toString(doc.fmmb.mode));
-    fmmb.emplace_back("strict_paper_phases", doc.fmmb.strictPaperPhases);
-    root.emplace_back("fmmb", std::move(fmmb));
-  }
-  return json::dump(Value(std::move(root)), 2);
+  return json::dump(Value(writeKeys(kRoot, doc)), 2);
 }
-
-// --- builder ----------------------------------------------------------------
 
 SweepSpec buildSweep(const SpecDoc& doc) {
   SweepSpec spec;
   spec.name = doc.name;
   spec.protocol = doc.protocol;
   for (const TopologyDoc& t : doc.topologies) {
-    switch (t.kind) {
-      case TopologyDoc::Kind::kLine:
-        spec.topologies.push_back(lineTopology(t.n));
-        break;
-      case TopologyDoc::Kind::kLineR:
-        spec.topologies.push_back(
-            rRestrictedLineTopology(t.n, t.r, t.edgeProb));
-        break;
-      case TopologyDoc::Kind::kLineArb:
-        spec.topologies.push_back(arbitraryNoiseLineTopology(
-            t.n, static_cast<std::size_t>(t.extraEdges)));
-        break;
-      case TopologyDoc::Kind::kGreyField:
-        spec.topologies.push_back(
-            greyZoneFieldTopology(t.n, t.avgDegree, t.c, t.pGrey));
-        break;
-      case TopologyDoc::Kind::kNetworkC:
-        spec.topologies.push_back(lowerBoundNetworkCTopology(t.d));
-        break;
-    }
+    spec.topologies.push_back(kTopologies.of(t).build(t));
   }
   spec.schedulers = doc.schedulers;
   spec.ks = doc.ks;
@@ -733,36 +678,12 @@ SweepSpec buildSweep(const SpecDoc& doc) {
     spec.macs.push_back({m.name, m.params});
   }
   for (const WorkloadDoc& w : doc.workloads) {
-    switch (w.kind) {
-      case WorkloadDoc::Kind::kAllAtNode:
-        spec.workloads.push_back(allAtNodeWorkload(w.node));
-        break;
-      case WorkloadDoc::Kind::kRoundRobin:
-        spec.workloads.push_back(roundRobinWorkload());
-        break;
-      case WorkloadDoc::Kind::kSpread:
-        spec.workloads.push_back(spreadWorkload());
-        break;
-      case WorkloadDoc::Kind::kRandom:
-        spec.workloads.push_back(randomWorkload());
-        break;
-      case WorkloadDoc::Kind::kOnline:
-        spec.workloads.push_back(onlineWorkload(w.interval));
-        break;
-      case WorkloadDoc::Kind::kPoisson:
-        spec.workloads.push_back(poissonWorkload(w.meanGap));
-        break;
-      case WorkloadDoc::Kind::kBursty:
-        spec.workloads.push_back(burstyWorkload(w.batch, w.gap));
-        break;
-      case WorkloadDoc::Kind::kStaggered:
-        spec.workloads.push_back(staggeredWorkload(w.sources, w.interval));
-        break;
-    }
+    spec.workloads.push_back(kWorkloads.of(w).build(w));
   }
   spec.dynamics.clear();
   for (const DynamicsDoc& d : doc.dynamics) {
-    spec.dynamics.push_back({d.name, d.spec});
+    spec.dynamics.push_back(kDynamics.of(d).build(d));
+    spec.dynamics.back().name = d.name;
   }
   spec.reactions = doc.reactions;
   spec.seedBegin = doc.seedBegin;
@@ -793,15 +714,9 @@ SweepSpec buildSweep(const SpecDoc& doc) {
 }
 
 std::string specFingerprint(const SpecDoc& doc) {
-  const std::string canonical = writeSpec(doc);
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64 offset basis
-  for (char c : canonical) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV-1a 64 prime
-  }
   char buffer[20];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
+                static_cast<unsigned long long>(check::fnv1a(writeSpec(doc))));
   return buffer;
 }
 

@@ -8,6 +8,14 @@
 // Spec files under sweeps/*.json are the canonical campaign
 // definitions the `ammb_sweep` CLI and CI consume.
 //
+// spec_io.cpp declares the schema once, as tables: one row per family
+// (its "kind", its keys in canonical order with their required/default
+// flag and range, and the sweep_spec.h builder it calls), plus one
+// table each for "macs", "fmmb" and the root keys.  Parsing, writing
+// and building loop over the rows, so a new family is one table row.
+// Ranges are checked at parse time; counts and tick-valued keys are at
+// most INT32_MAX, so any count x ticks product stays below 2^62.
+//
 // The writer is canonical — fixed key order, shortest round-trip
 // numbers — so parse(write(doc)) == doc and write(parse(text)) is a
 // fixpoint after one round trip.  `specFingerprint()` hashes the

@@ -6,9 +6,12 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include "check/golden.h"
 #include "check/oracles.h"
+#include "runner/emit.h"
 
 namespace ammb::runner {
 
@@ -16,29 +19,42 @@ namespace {
 
 using core::nearestRankPercentile;
 
-/// Worst-case fold of one run's realized bounds into the cell's:
-/// bound statistics take the max, sample counters the sum.
-void foldRealized(phys::RealizedBounds& into, const phys::RealizedBounds& from) {
-  into.fprogP50 = std::max(into.fprogP50, from.fprogP50);
-  into.fprogP95 = std::max(into.fprogP95, from.fprogP95);
-  into.fprogMax = std::max(into.fprogMax, from.fprogMax);
-  into.fackP50 = std::max(into.fackP50, from.fackP50);
-  into.fackP95 = std::max(into.fackP95, from.fackP95);
-  into.fackMax = std::max(into.fackMax, from.fackMax);
-  into.fittedFprog = std::max(into.fittedFprog, from.fittedFprog);
-  into.fittedFack = std::max(into.fittedFack, from.fittedFack);
-  into.ackSamples += from.ackSamples;
-  into.progSamples += from.progSamples;
+/// `into += value` for run `run`'s field `key`, throwing instead of
+/// overflowing: aggregation sums values read back from shard and
+/// journal files.
+template <class T>
+void addChecked(T& into, T value, const char* key, std::size_t run) {
+  if (__builtin_add_overflow(into, value, &into)) {
+    throw Error("run record " + std::to_string(run) + ": " + key +
+                " overflows its cell's sum — corrupt or mismatched "
+                "shard/journal input");
+  }
 }
 
-void accumulateStats(mac::EngineStats& into, const mac::EngineStats& from) {
-  into.bcasts += from.bcasts;
-  into.rcvs += from.rcvs;
-  into.forcedRcvs += from.forcedRcvs;
-  into.acks += from.acks;
-  into.aborts += from.aborts;
-  into.delivers += from.delivers;
-  into.arrives += from.arrives;
+/// Worst-case fold of one run's realized bounds into the cell's:
+/// bound statistics take the max, sample counters the sum.
+void foldRealized(phys::RealizedBounds& into, const phys::RealizedBounds& from,
+                  std::size_t run) {
+  for (const RecordField<phys::RealizedBounds>& f : kRealizedFields) {
+    std::visit(
+        [&](auto m) {
+          if constexpr (std::is_same_v<decltype(m),
+                                       std::uint64_t phys::RealizedBounds::*>) {
+            addChecked(into.*m, from.*m, f.key, run);
+          } else {
+            into.*m = std::max(into.*m, from.*m);
+          }
+        },
+        f.member);
+  }
+}
+
+void accumulateStats(mac::EngineStats& into, const mac::EngineStats& from,
+                     std::size_t run) {
+  for (const RecordField<mac::EngineStats>& f : kStatsFields) {
+    const auto m = std::get<std::uint64_t mac::EngineStats::*>(f.member);
+    addChecked(into.*m, from.*m, f.key, run);
+  }
 }
 
 }  // namespace
@@ -264,18 +280,14 @@ SweepResult aggregateRecords(const SweepSpec& spec,
                  "run " + std::to_string(record.point.runIndex) +
                      " appears twice in the aggregated records");
     seenRun[record.point.runIndex] = true;
-    AMMB_REQUIRE(record.point.cellIndex == expected.cellIndex &&
-                     record.point.topoIdx == expected.topoIdx &&
-                     record.point.schedIdx == expected.schedIdx &&
-                     record.point.kIdx == expected.kIdx &&
-                     record.point.macIdx == expected.macIdx &&
-                     record.point.wlIdx == expected.wlIdx &&
-                     record.point.dynIdx == expected.dynIdx &&
-                     record.point.reactIdx == expected.reactIdx &&
-                     record.point.seed == expected.seed,
-                 "run record " + std::to_string(record.point.runIndex) +
-                     " carries a grid coordinate inconsistent with this "
-                     "spec — corrupt or mismatched shard/journal input");
+    const std::size_t run = record.point.runIndex;
+    for (const RecordField<RunPoint>& f : kPointFields) {
+      const auto m = std::get<std::uint64_t RunPoint::*>(f.member);
+      AMMB_REQUIRE(record.point.*m == expected.*m,
+                   "run record " + std::to_string(run) + " carries a " +
+                       f.key + " inconsistent with this spec — corrupt or "
+                       "mismatched shard/journal input");
+    }
     CellAggregate& cell = result.cells[record.point.cellIndex];
     ++cell.runs;
     if (record.failed()) {
@@ -288,21 +300,22 @@ SweepResult aggregateRecords(const SweepSpec& spec,
     }
     if (record.realized.measured()) {
       ++cell.measuredRuns;
-      foldRealized(cell.realized, record.realized);
+      foldRealized(cell.realized, record.realized, run);
     }
-    accumulateStats(cell.stats, record.result.stats);
-    cell.retransmits += record.result.retransmits;
-    endSums[cell.cellIndex] += record.result.endTime;
+    accumulateStats(cell.stats, record.result.stats, run);
+    addChecked(cell.retransmits, record.result.retransmits, "retransmits", run);
+    addChecked(endSums[cell.cellIndex], record.result.endTime, "end_time", run);
     ++endCounts[cell.cellIndex];
     if (record.result.solved) {
       ++cell.solved;
       solveTimes[cell.cellIndex].push_back(record.result.solveTime);
-      solveSums[cell.cellIndex] += record.result.solveTime;
+      addChecked(solveSums[cell.cellIndex], record.result.solveTime,
+                 "solve_time", run);
     }
     for (const core::MessageMetric& pm : record.result.messages.perMessage) {
       if (!pm.completed()) continue;
       latencies[cell.cellIndex].push_back(pm.latency());
-      latencySums[cell.cellIndex] += pm.latency();
+      addChecked(latencySums[cell.cellIndex], pm.latency(), "latency", run);
     }
   }
 

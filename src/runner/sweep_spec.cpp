@@ -6,15 +6,6 @@
 
 namespace ammb::runner {
 
-std::string toString(CheckMode mode) {
-  switch (mode) {
-    case CheckMode::kOff: return "off";
-    case CheckMode::kMac: return "mac";
-    case CheckMode::kFull: return "full";
-  }
-  return "?";
-}
-
 void SweepSpec::validate() const {
   AMMB_REQUIRE(!topologies.empty(), "sweep needs at least one topology");
   AMMB_REQUIRE(!schedulers.empty(), "sweep needs at least one scheduler");

@@ -161,6 +161,132 @@ TEST(RecordIo, RemovedKernelKeyParsesAndIsDropped) {
   EXPECT_EQ(runner::journalRecordLine(record), keyFree + "\n");
 }
 
+TEST(RecordIo, FullyPopulatedJournalLineIsPinned) {
+  // Every optional key present: a reaction coordinate, all three
+  // execution-axis labels, a realized block, retransmits, violations
+  // and a canonical trace (string escapes included), plus an
+  // uncompleted message.  The bytes are what journals and shard files
+  // already on disk hold, so they must never move.
+  RunRecord record;
+  record.point = {5, 2, 1, 0, 1, 0, 0, 1, 1, 3};
+  record.realization = "csma:2,4,32,5,0.25";
+  record.backend = "net:19000,0.1,200,3,0,0";
+  record.traceMode = "spool:64";
+  record.realized = {3, 5, 7, 11, 13, 17, 7, 17, 40, 90};
+  record.result.solved = true;
+  record.result.solveTime = 120;
+  record.result.endTime = 128;
+  record.result.status = sim::RunStatus::kStopped;
+  record.result.retransmits = 6;
+  record.result.stats = {16, 29, 2, 14, 1, 16, 2};
+  core::MessageMetrics& mm = record.result.messages;
+  mm.arrived = 2;
+  mm.completed = 1;
+  mm.p50Latency = mm.p95Latency = mm.maxLatency = 100;
+  mm.meanLatency = 100.5;
+  mm.perMessage = {{0, 4, 104}, {1, 20, kTimeNever}};
+  record.checked = true;
+  record.traceHash = 0x0123456789abcdefULL;
+  record.checkViolations = {"mac: late ack", "mmb: \"quoted\""};
+  record.canonicalTrace = "header\nline\t1\n";
+
+  const std::string line =
+      R"({"run_index":5,"cell_index":2,"topo_idx":1,"sched_idx":0,)"
+      R"("k_idx":1,"mac_idx":0,"wl_idx":0,"dyn_idx":1,"react_idx":1,)"
+      R"("seed":3,"mac_realization":"csma:2,4,32,5,0.25",)"
+      R"("backend":"net:19000,0.1,200,3,0,0","trace_mode":"spool:64",)"
+      R"("realized":{"fprog_p50":3,"fprog_p95":5,"fprog_max":7,)"
+      R"("fack_p50":11,"fack_p95":13,"fack_max":17,"fitted_fprog":7,)"
+      R"("fitted_fack":17,"ack_samples":40,"prog_samples":90},)"
+      R"("error":"","solved":true,"solve_time":120,"end_time":128,)"
+      R"("status":"stopped","retransmits":6,"stats":{"bcasts":16,)"
+      R"("rcvs":29,"forced_rcvs":2,"acks":14,"aborts":1,"delivers":16,)"
+      R"("arrives":2},"messages":{"arrived":2,"completed":1,)"
+      R"("p50_latency":100,"p95_latency":100,"max_latency":100,)"
+      R"("mean_latency":100.5,"per_message":[[0,4,104],)"
+      R"([1,20,9223372036854775807]]},"checked":true,)"
+      R"("trace_hash":"0123456789abcdef","check_violations":)"
+      R"(["mac: late ack","mmb: \"quoted\""],)"
+      R"("canonical_trace":"header\nline\t1\n"})";
+  EXPECT_EQ(runner::journalRecordLine(record), line + "\n");
+  const RunRecord back =
+      runner::recordFromJson(runner::json::parse(line), "record");
+  EXPECT_EQ(runner::journalRecordLine(back), line + "\n");
+}
+
+std::string recordErrorOf(const std::string& line) {
+  try {
+    runner::recordFromJson(runner::json::parse(line), "record");
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected recordFromJson to throw for: " << line;
+  return "";
+}
+
+/// A valid reaction-free journal record line with `from` replaced by `to`.
+std::string corruptedLine(const std::string& from, const std::string& to) {
+  std::string line =
+      R"({"run_index":0,"cell_index":0,"topo_idx":0,"sched_idx":0,)"
+      R"("k_idx":0,"mac_idx":0,"wl_idx":0,"dyn_idx":0,"seed":1,)"
+      R"("error":"","solved":true,"solve_time":15,"end_time":15,)"
+      R"("status":"stopped","stats":{"bcasts":16,"rcvs":29,)"
+      R"("forced_rcvs":0,"acks":14,"aborts":0,"delivers":16,)"
+      R"("arrives":1},"messages":{"arrived":1,"completed":1,)"
+      R"("p50_latency":15,"p95_latency":15,"max_latency":15,)"
+      R"("mean_latency":15.0,"per_message":[[0,0,15]]},"checked":false,)"
+      R"("trace_hash":"0000000000000000","check_violations":[],)"
+      R"("canonical_trace":""})";
+  const std::size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return line.replace(at, from.size(), to);
+}
+
+TEST(RecordIo, RejectsOutOfRangeValuesNamingTheField) {
+  // Negative counts used to wrap to 2^64 - k, and any int64 was a time.
+  const std::pair<std::pair<const char*, const char*>, const char*> cases[] = {
+      {{R"("bcasts":16)", R"("bcasts":-3)"}, "record.stats.bcasts"},
+      {{R"("arrived":1)", R"("arrived":-1)"}, "record.messages.arrived"},
+      {{R"("seed":1)", R"("seed":-1)"}, "record.seed"},
+      {{R"("run_index":0)", R"("run_index":-2)"}, "record.run_index"},
+      {{R"("end_time":15)", R"("end_time":-9000000000000000000)"},
+       "record.end_time"},
+      {{R"("solve_time":15)", R"("solve_time":-1)"}, "record.solve_time"},
+      {{R"("p95_latency":15)", R"("p95_latency":-1)"},
+       "record.messages.p95_latency"},
+      {{"[[0,0,15]]", "[[0,-9000000000000000000,9000000000000000000]]"},
+       "record.messages.per_message[0]"},
+      {{"[[0,0,15]]", "[[0,20,15]]"}, "record.messages.per_message[0]"},
+      {{"[[0,0,15]]", "[[-1,0,15]]"}, "record.messages.per_message[0]"},
+  };
+  for (const auto& [edit, path] : cases) {
+    const std::string error =
+        recordErrorOf(corruptedLine(edit.first, edit.second));
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+  }
+  // A message that never completed keeps kTimeNever, and an unsolved
+  // run's solve time is kTimeNever too: both stay accepted.
+  EXPECT_NO_THROW(runner::recordFromJson(runner::json::parse(corruptedLine(
+      R"("solve_time":15)", R"("solve_time":9223372036854775807)"))));
+  EXPECT_NO_THROW(runner::recordFromJson(runner::json::parse(
+      corruptedLine("[[0,0,15]]", "[[0,9223372036854775807,"
+                                  "9223372036854775807]]"))));
+}
+
+TEST(Journal, RejectsANegativeCountNamingTheLine) {
+  const std::string journal =
+      runner::journalHeaderLine({"x", "0000000000000000", Shard{0, 1}, 1}) +
+      corruptedLine(R"("acks":14)", R"("acks":-14)") + "\n";
+  try {
+    runner::parseJournal(journal);
+    FAIL() << "expected parseJournal to throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("journal line 2.stats.acks"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 /// Executes `shard` of the grid and serializes it the way
 /// `ammb_sweep run --shard-json` does, at the given thread count.
 runner::ShardDoc runShard(const SweepSpec& spec, const Shard& shard,
@@ -256,6 +382,34 @@ TEST(Merge, RejectsACorruptGridCoordinate) {
       SweepRunner().runPoints(spec, runner::shardRuns(spec, Shard{0, 8}));
   duplicated.push_back(duplicated.front());
   EXPECT_THROW(runner::aggregateRecords(spec, duplicated), Error);
+}
+
+TEST(Merge, RejectsTimesWhoseCellSumOverflows) {
+  // Each time is in range on its own, but two of them in one cell used
+  // to overflow the cell's int64 sum; merge must fail cleanly instead.
+  const SweepSpec spec = gridSpec();
+  for (const std::string key : {"end_time", "solve_time"}) {
+    SCOPED_TRACE(key);
+    std::vector<runner::ShardDoc> shards;
+    for (std::size_t index : {0u, 1u}) {
+      runner::ShardDoc doc = runShard(spec, Shard{index, 2}, 2);
+      // Runs 0 and 1 (the first record of each shard) share cell 0.
+      RunRecord& record = doc.records.front();
+      record.result.solved = true;
+      (key == "end_time" ? record.result.endTime : record.result.solveTime) =
+          9'000'000'000'000'000'000;
+      shards.push_back(runner::parseShardJson(runner::shardJson(doc)));
+    }
+    const std::vector<RunRecord> merged =
+        runner::mergeShardRecords(spec, gridFingerprint(), shards);
+    try {
+      runner::aggregateRecords(spec, merged);
+      FAIL() << "expected the aggregation to throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Journal, HeaderAndRecordsRoundTrip) {

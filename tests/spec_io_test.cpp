@@ -304,6 +304,82 @@ TEST(SpecIo, ErrorsNameTheFullKeyPath) {
             std::string::npos);
 }
 
+// Tick-valued keys are bounded by INT32_MAX: each spec below used to pass
+// `ammb_sweep print` and then overflow Time inside the run.
+std::string specWithAxes(const std::string& scheduler, const std::string& mac,
+                         const std::string& workload,
+                         const std::string& extra = "") {
+  return R"({"name": "x", "protocol": "bmmb",
+             "topologies": [{"kind": "line", "n": 8}],
+             "schedulers": [")" + scheduler + R"("], "ks": [4],
+             "macs": [)" + mac + R"(], "workloads": [)" + workload + R"(],
+             "seed_begin": 1, "seed_end": 2)" + extra + "}";
+}
+
+const std::string kOkWorkload = R"({"kind": "round-robin"})";
+
+void expectRejectedAt(const std::string& text, const std::string& path) {
+  const std::string error = parseErrorOf(text);
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+}
+
+TEST(SpecIo, CrashPeriodIsBounded) {
+  const auto crash = [](const std::string& period) {
+    return specWithAxes("fast", "{}", kOkWorkload,
+                        R"(, "dynamics": [{"kind": "crash", "crashes": 3,
+                           "period": )" + period + R"(, "down_for": 5}])");
+  };
+  expectRejectedAt(crash("4611686018427387904"), "spec.dynamics[0].period");
+  EXPECT_NO_THROW(runner::parseSpec(crash("2147483647")));
+}
+
+TEST(SpecIo, GreyDriftPeriodIsBounded) {
+  expectRejectedAt(
+      specWithAxes("fast", "{}", kOkWorkload,
+                   R"(, "dynamics": [{"kind": "grey-drift", "epochs": 3,
+                      "period": 4611686018427387904, "churn": 0.5}])"),
+      "spec.dynamics[0].period");
+}
+
+TEST(SpecIo, MacTicksAreBounded) {
+  expectRejectedAt(specWithAxes("slow-ack", R"({"fack": 9223372036854775000})",
+                                kOkWorkload),
+                   "spec.macs[0].fack");
+  expectRejectedAt(specWithAxes("fast", R"({"eps_abort": 2147483648})",
+                                kOkWorkload),
+                   "spec.macs[0].eps_abort");
+  EXPECT_NO_THROW(runner::parseSpec(
+      specWithAxes("slow-ack", R"({"fack": 2147483647})", kOkWorkload)));
+}
+
+TEST(SpecIo, OnlineIntervalIsBounded) {
+  expectRejectedAt(
+      specWithAxes("fast", "{}",
+                   R"({"kind": "online", "interval": 4611686018427387904})"),
+      "spec.workloads[0].interval");
+}
+
+TEST(SpecIo, BurstyGapIsBounded) {
+  expectRejectedAt(
+      specWithAxes("fast", "{}",
+                   R"({"kind": "bursty", "batch": 2,
+                      "gap": 4611686018427387904})"),
+      "spec.workloads[0].gap");
+}
+
+TEST(SpecIo, LowerBoundLineLengthIsZeroOrAtLeastTwo) {
+  // Network C needs lines of at least two nodes; a shorter hint used to
+  // pass `print` and then fail every lower-bound run mid-sweep.
+  const auto withLength = [](const std::string& length) {
+    return specWithAxes("lower-bound", "{}", kOkWorkload,
+                        R"(, "lower_bound_line_length": )" + length);
+  };
+  expectRejectedAt(withLength("-4"), "spec.lower_bound_line_length");
+  expectRejectedAt(withLength("1"), "spec.lower_bound_line_length");
+  EXPECT_NO_THROW(runner::parseSpec(withLength("0")));
+  EXPECT_NO_THROW(runner::parseSpec(withLength("2")));
+}
+
 TEST(SpecIo, BackendAxisRoundTripsAndFingerprints) {
   const SpecDoc simDoc = runner::parseSpec(kMinimalSpec);
   EXPECT_TRUE(simDoc.backend.sim());
@@ -468,6 +544,29 @@ TEST(SpecIo, CheckedInCampaignSpecsAreValid) {
     // The canonical writer must accept its own output.
     EXPECT_EQ(runner::writeSpec(runner::parseSpec(runner::writeSpec(doc))),
               runner::writeSpec(doc));
+  }
+}
+
+TEST(SpecIo, CommittedSpecFingerprintsArePinned) {
+  // Shard outputs and journals embed these fingerprints, so a change to
+  // the canonical writer that moved any of them would orphan every
+  // stored shard and journal of that campaign.
+  const std::pair<const char*, const char*> pins[] = {
+      {"ablation_unreliability", "9bb1257ea3f134c8"},
+      {"churn_grid", "18102a79b1d378b4"},
+      {"churn_react_grid", "ad619e92f1863e2c"},
+      {"ci_smoke", "930adff7ffd8b41b"},
+      {"csma_grid", "4967998d44feb630"},
+      {"fig1_standard", "49e42da1fc2fe476"},
+      {"fig2_lines", "dabf8882126ef454"},
+      {"fig2_lowerbound", "980206e421ca2a54"},
+      {"online_arrivals", "156ca26c4f790050"},
+  };
+  for (const auto& [name, fingerprint] : pins) {
+    const std::string path =
+        std::string(AMMB_SWEEPS_DIR) + "/" + name + ".json";
+    EXPECT_EQ(runner::specFingerprint(runner::loadSpecFile(path)), fingerprint)
+        << path;
   }
 }
 #endif

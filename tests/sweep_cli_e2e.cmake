@@ -115,4 +115,41 @@ if(NOT err MATCHES "--${removed_axis}")
           "unknown-flag error does not name --${removed_axis}:\n${err}")
 endif()
 
+# Out-of-range input must be rejected up front with exit 2 and an error
+# naming the offending field: a tick value that would overflow Time in
+# the run, and a shard record carrying a negative count.
+function(expect_input_error field)
+  execute_process(
+    COMMAND ${AMMB_SWEEP} ${ARGN}
+    WORKING_DIRECTORY "${WORKDIR}"
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "ammb_sweep ${ARGN} exited ${rc}, expected 2:\n${err}")
+  endif()
+  string(FIND "${err}" "${field}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "ammb_sweep ${ARGN} error does not name ${field}:\n${err}")
+  endif()
+endfunction()
+
+file(WRITE "${WORKDIR}/overflow.json"
+     "{\"name\": \"overflow\", \"protocol\": \"bmmb\",
+       \"topologies\": [{\"kind\": \"line\", \"n\": 8}],
+       \"schedulers\": [\"fast\"], \"ks\": [2], \"macs\": [{}],
+       \"workloads\": [{\"kind\": \"round-robin\"}],
+       \"dynamics\": [{\"kind\": \"crash\", \"crashes\": 3,
+                      \"period\": 4611686018427387904, \"down_for\": 5}],
+       \"seed_begin\": 1, \"seed_end\": 2}")
+expect_input_error("spec.dynamics[0].period" print overflow.json)
+
+file(READ "${WORKDIR}/shard_0.json" shard)
+string(REGEX REPLACE "\"bcasts\":[0-9]+" "\"bcasts\":-3" corrupted "${shard}")
+if(corrupted STREQUAL shard)
+  message(FATAL_ERROR "shard_0.json has no bcasts counter to corrupt")
+endif()
+file(WRITE "${WORKDIR}/shard_0.json" "${corrupted}")
+expect_input_error("runs[0].stats.bcasts" merge "${SPEC}" ${shard_files})
+
 message(STATUS "sweep CLI e2e: shard/merge/resume/compare all consistent")
