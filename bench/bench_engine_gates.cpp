@@ -1,10 +1,10 @@
 // The engine's deterministic gates on large grey-zone fields.
 //
-// Self-timed (plain chrono, no google-benchmark): the quantities of
-// interest are whole-run trace hashes and engine stats, steady-state
-// allocation behavior of the flattened per-broadcast containers, and
-// the peak RSS of a checked out-of-core run — none of which fit the
-// microbenchmark loop shape.
+// Self-timed with std::chrono: the quantities of interest are
+// whole-run trace hashes and engine stats, steady-state allocation
+// behavior of the flattened per-broadcast containers (a counting
+// global operator new), and the peak RSS of a checked out-of-core
+// run — none of which fit a microbenchmark loop.
 //
 // Modes:
 //
@@ -29,17 +29,18 @@
 //       MiB; anything else is rejected before the run starts.
 //
 // Exit codes: 0 pass, 1 gate failure, 2 usage or input errors.
+#include <sys/resource.h>
+
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
-
-#define AMMB_BENCH_COUNT_ALLOCS
-#include "bench_util.h"
 
 #include "check/golden.h"
 #include "check/oracles.h"
@@ -50,7 +51,34 @@
 
 namespace {
 
-using ammb::bench::g_allocOps;
+/// Every global operator new of this process, counted so the check
+/// gate can bound the run phase's allocations per delivery.
+std::atomic<std::uint64_t> g_allocOps{0};
+
+/// Peak resident set size of this process in MiB (Linux ru_maxrss is
+/// KiB).  A measurement of the machine, not the simulation: documents
+/// that carry it must be compared with
+/// `ammb_sweep compare --ignore-key peak_rss_mb`.
+double peakRssMb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocOps.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
 
 using namespace ammb;
 namespace json = runner::json;
@@ -212,7 +240,7 @@ int runCheck(const std::string& outPath) {
   doc.emplace_back("scenarios", std::move(scenarioDocs));
   // Machine measurement, not simulation output: the compare gate
   // excludes it (--ignore-key peak_rss_mb).
-  doc.emplace_back("peak_rss_mb", bench::peakRssMb());
+  doc.emplace_back("peak_rss_mb", peakRssMb());
   writeJson(outPath, doc);
   return 0;
 }
@@ -252,7 +280,7 @@ int runSpoolGate(const std::string& outPath, double rssCeilingMb) {
   const double wallMs = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-  const double peakRss = bench::peakRssMb();
+  const double peakRss = peakRssMb();
   const bool withinCeiling = rssCeilingMb <= 0.0 || peakRss <= rssCeilingMb;
 
   json::Object doc;

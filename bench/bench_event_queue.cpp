@@ -7,9 +7,14 @@
 //   cancel-heavy — schedule/cancel pairs plus a drain (abort paths and
 //                  guard re-arming; O(log n) removal in place).
 //
-// Counters report events per second.
-#include <benchmark/benchmark.h>
-
+// Self-timed with std::chrono over fixed sizes; takes no arguments.
+// Each case repeats until it has handled about 2^19 queue operations
+// and prints operations per second (best of three passes, to damp
+// host noise).  Compare against a parent build of the same bench.
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -38,18 +43,14 @@ struct EnginePayload {
 };
 static_assert(sizeof(EnginePayload) == 24, "payload should model the engine");
 
-void BM_ScheduleRun(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    EventQueue q;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      q.schedule(mixTime(i), EnginePayload{&sink, i, i + 1});
-    }
-    q.run();
-    benchmark::DoNotOptimize(sink);
+/// One pass: `n` schedules, then a full drain.  Returns operations.
+std::uint64_t scheduleRun(std::uint64_t n, std::uint64_t& sink) {
+  EventQueue q;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    q.schedule(mixTime(i), EnginePayload{&sink, i, i + 1});
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+  q.run();
+  return n;
 }
 
 // Self-rescheduling engine-sized closure (the steady-state shape: every
@@ -65,52 +66,72 @@ struct ChurnStep {
   }
 };
 
-void BM_Churn(benchmark::State& state) {
-  const auto window = static_cast<std::uint64_t>(state.range(0));
+/// One pass: a `window`-event population handling 2^16 events.
+std::uint64_t churn(std::uint64_t window, std::uint64_t& sink) {
   constexpr std::uint64_t kEvents = 1 << 16;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    EventQueue q;
-    for (std::uint64_t i = 0; i < window; ++i) {
-      q.schedule(mixTime(i), ChurnStep{&q, &sink, i});
-    }
-    q.run(ammb::kTimeNever, kEvents);
-    benchmark::DoNotOptimize(sink);
+  EventQueue q;
+  for (std::uint64_t i = 0; i < window; ++i) {
+    q.schedule(mixTime(i), ChurnStep{&q, &sink, i});
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(kEvents) *
-                          state.iterations());
+  q.run(ammb::kTimeNever, kEvents);
+  return kEvents;
 }
 
-void BM_CancelHeavy(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    EventQueue q;
-    std::vector<std::uint64_t> handles;
-    handles.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      handles.push_back(q.schedule(mixTime(i), EnginePayload{&sink, i, i}));
-    }
-    // Cancel three quarters; the kernel removes them in place.
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (i % 4 != 0) q.cancel(handles[static_cast<std::size_t>(i)]);
-    }
-    q.run();
-    benchmark::DoNotOptimize(sink);
+/// One pass: `n` schedules, three quarters cancelled, then a drain.
+std::uint64_t cancelHeavy(std::uint64_t n, std::uint64_t& sink) {
+  EventQueue q;
+  std::vector<std::uint64_t> handles;
+  handles.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    handles.push_back(q.schedule(mixTime(i), EnginePayload{&sink, i, i}));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * n) *
-                          state.iterations());
+  // Cancel three quarters; the kernel removes them in place.
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (i % 4 != 0) q.cancel(handles[static_cast<std::size_t>(i)]);
+  }
+  q.run();
+  return 2 * n;
 }
 
-BENCHMARK(BM_ScheduleRun)->Arg(1024)->Arg(65536);
-BENCHMARK(BM_Churn)->Arg(64)->Arg(1024);
-BENCHMARK(BM_CancelHeavy)->Arg(1024)->Arg(65536);
+struct Case {
+  const char* shape;
+  std::uint64_t size;
+  std::uint64_t (*pass)(std::uint64_t size, std::uint64_t& sink);
+};
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main(int argc, char**) {
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: bench_event_queue (takes no arguments)\n");
+    return 2;
+  }
+  constexpr std::uint64_t kOpsPerCase = 1 << 19;
+  const Case cases[] = {
+      {"schedule+run", 1024, scheduleRun},
+      {"schedule+run", 65536, scheduleRun},
+      {"churn", 64, churn},
+      {"churn", 1024, churn},
+      {"cancel-heavy", 1024, cancelHeavy},
+      {"cancel-heavy", 65536, cancelHeavy},
+  };
+  std::uint64_t sink = 0;
+  std::printf("%-14s %8s %14s\n", "shape", "size", "Mops/s");
+  for (const Case& c : cases) {
+    double best = 0.0;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      std::uint64_t ops = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      while (ops < kOpsPerCase) ops += c.pass(c.size, sink);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+      best = std::max(best, static_cast<double>(ops) / seconds / 1e6);
+    }
+    std::printf("%-14s %8llu %14.1f\n", c.shape,
+                static_cast<unsigned long long>(c.size), best);
+  }
+  // Keeps the handlers' side effects observable to the optimizer.
+  std::printf("checksum %llu\n", static_cast<unsigned long long>(sink));
   return 0;
 }

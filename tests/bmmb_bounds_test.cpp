@@ -8,9 +8,11 @@
 
 #include <tuple>
 
+#include "core/bounds.h"
 #include "core/experiment.h"
 #include "graph/generators.h"
 #include "mac/trace_checker.h"
+#include "runner/sweep_spec.h"
 #include "test_util.h"
 
 namespace ammb {
@@ -18,7 +20,9 @@ namespace {
 
 using core::RunConfig;
 using core::SchedulerKind;
+using core::Theorem;
 namespace gen = graph::gen;
+using testutil::enhParams;
 using testutil::stdParams;
 
 const std::vector<SchedulerKind> kAllSchedulers = {
@@ -176,6 +180,149 @@ TEST(BmmbBounds, StructureOfUnreliabilityGovernsTheDamage) {
   EXPECT_LE(tLocal.solveTime,
             core::bmmbRRestrictedBound(D - 1, 2, 2, cfgLocal.mac));
   EXPECT_GT(tFar.solveTime, 3 * tLocal.solveTime);
+}
+
+// --- applicableBound: which theorem covers a run -----------------------------
+
+RunConfig standardConfig() {
+  RunConfig config;
+  config.mac = stdParams(4, 64);
+  return config;
+}
+
+TEST(ApplicableBound, GgLineGetsTheorem316AtRadiusOne) {
+  const auto topo = gen::identityDual(gen::line(16));
+  const auto bound = core::applicableBound(
+      topo, core::workloadAllAtNode(4, 0), standardConfig(),
+      core::bmmbProtocol());
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_EQ(bound->theorem, Theorem::k3_16);
+  EXPECT_EQ(bound->diameter, 15);
+  EXPECT_EQ(bound->radius, 1);
+  EXPECT_EQ(bound->ticks,
+            core::bmmbRRestrictedBound(15, 4, 1, stdParams(4, 64)));
+}
+
+TEST(ApplicableBound, RRestrictedLineGetsTheorem316AtItsGeneratedRadius) {
+  // The spec's "line-r" family: r = 4 is the cap, the radius the seed
+  // happens to generate is what the bound is evaluated at.
+  const auto topo = runner::rRestrictedLineTopology(64, 4, 0.7).make(1);
+  const auto radius = topo.restrictionRadius();
+  ASSERT_TRUE(radius.has_value());
+  ASSERT_GE(*radius, 2);
+  ASSERT_LE(*radius, 4);
+  const auto bound = core::applicableBound(
+      topo, core::workloadRoundRobin(8, 64), standardConfig(),
+      core::bmmbProtocol());
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_EQ(bound->theorem, Theorem::k3_16);
+  EXPECT_EQ(bound->radius, radius);
+  EXPECT_EQ(bound->ticks,
+            core::bmmbRRestrictedBound(63, 8, *radius, stdParams(4, 64)));
+}
+
+TEST(ApplicableBound, ArbitraryNoiseLineGetsTheorem31) {
+  // Long random E'-only edges give a finite but large radius, where
+  // Theorem 3.1 is the tighter of the two.
+  const auto topo = runner::arbitraryNoiseLineTopology(32, 32).make(1);
+  const auto mac = stdParams(4, 64);
+  const auto bound = core::applicableBound(
+      topo, core::workloadRoundRobin(4, 32), standardConfig(),
+      core::bmmbProtocol());
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_EQ(bound->theorem, Theorem::k3_1);
+  EXPECT_EQ(bound->diameter, 31);
+  ASSERT_TRUE(bound->radius.has_value());
+  EXPECT_EQ(bound->ticks, core::bmmbArbitraryBound(31, 4, mac));
+  EXPECT_GT(core::bmmbRRestrictedBound(31, 4, *bound->radius, mac),
+            bound->ticks);
+}
+
+TEST(ApplicableBound, NetworkCGetsTheorem31WithNoRadius) {
+  // The cross edges join the two G lines, so no finite r restricts G'.
+  const auto topo = gen::lowerBoundNetworkC(8);
+  core::MmbWorkload workload;
+  workload.k = 2;
+  workload.arrivals = {{0, 0}, {8, 1}};
+  const auto bound = core::applicableBound(topo, workload, standardConfig(),
+                                           core::bmmbProtocol());
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_EQ(bound->theorem, Theorem::k3_1);
+  EXPECT_EQ(bound->diameter, 7);
+  EXPECT_FALSE(bound->radius.has_value());
+  EXPECT_EQ(bound->ticks, 9 * 64);
+}
+
+TEST(ApplicableBound, FmmbGetsTheTheorem41Envelope) {
+  Rng rng(3);
+  const auto topo = gen::greyZoneField(32, 7.0, 1.5, 0.4, rng);
+  const auto params = core::FmmbParams::make(topo.n());
+  RunConfig config;
+  config.mac = enhParams(4, 64);
+  const auto bound = core::applicableBound(
+      topo, core::workloadRoundRobin(4, topo.n()), config,
+      core::fmmbProtocol(params));
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_EQ(bound->theorem, Theorem::k4_1);
+  EXPECT_EQ(bound->diameter, topo.g().diameter());
+  EXPECT_FALSE(bound->radius.has_value());
+  EXPECT_EQ(bound->ticks, core::fmmbBoundEnvelope(topo.g().diameter(), 4,
+                                                  params, config.mac));
+}
+
+TEST(ApplicableBound, BurstyWithinOneBatchIsAllAtZero) {
+  const auto topo = gen::identityDual(gen::line(16));
+  core::BurstyArrivalProcess oneBatch(8, 16, 8, 512, 1);
+  EXPECT_TRUE(core::applicableBound(topo, core::materializeWorkload(oneBatch),
+                                    standardConfig(), core::bmmbProtocol())
+                  .has_value());
+  core::BurstyArrivalProcess twoBatches(9, 16, 8, 512, 1);
+  EXPECT_FALSE(core::applicableBound(
+                   topo, core::materializeWorkload(twoBatches),
+                   standardConfig(), core::bmmbProtocol())
+                   .has_value());
+}
+
+TEST(ApplicableBound, NoTheoremWithoutItsHypotheses) {
+  const auto topo = gen::identityDual(gen::line(16));
+  const auto workload = core::workloadAllAtNode(4, 0);
+  const auto holds = [&](const RunConfig& config,
+                         const core::ProtocolSpec& protocol,
+                         const core::MmbWorkload& w) {
+    return core::applicableBound(topo, w, config, protocol).has_value();
+  };
+  ASSERT_TRUE(holds(standardConfig(), core::bmmbProtocol(), workload));
+
+  core::PoissonArrivalProcess poisson(4, 16, 64.0, 1);
+  EXPECT_FALSE(holds(standardConfig(), core::bmmbProtocol(),
+                     core::materializeWorkload(poisson)));
+
+  RunConfig crash = standardConfig();
+  crash.dynamics.kind = core::DynamicsSpec::Kind::kCrash;
+  EXPECT_FALSE(holds(crash, core::bmmbProtocol(), workload));
+
+  EXPECT_FALSE(holds(standardConfig(),
+                     core::bmmbProtocol(core::QueueDiscipline::kLifo),
+                     workload));
+
+  core::ReactionSpec retransmit;
+  retransmit.kind = core::ReactionSpec::Kind::kRetransmit;
+  EXPECT_FALSE(holds(standardConfig(),
+                     core::bmmbProtocol(core::QueueDiscipline::kFifo,
+                                        retransmit),
+                     workload));
+
+  RunConfig csma = standardConfig();
+  csma.realization = mac::MacRealization::csmaWith({});
+  EXPECT_FALSE(holds(csma, core::bmmbProtocol(), workload));
+
+  RunConfig net = standardConfig();
+  net.backend = core::ExecutionBackend::netWith({});
+  EXPECT_FALSE(holds(net, core::bmmbProtocol(), workload));
+
+  RunConfig enhanced = standardConfig();
+  enhanced.mac = enhParams(4, 64);
+  EXPECT_FALSE(holds(enhanced, core::bmmbProtocol(), workload));
 }
 
 }  // namespace

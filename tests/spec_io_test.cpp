@@ -557,6 +557,7 @@ TEST(SpecIo, CommittedSpecFingerprintsArePinned) {
       {"churn_react_grid", "ad619e92f1863e2c"},
       {"ci_smoke", "930adff7ffd8b41b"},
       {"csma_grid", "4967998d44feb630"},
+      {"fig1_enhanced", "11e0499bafbf73e2"},
       {"fig1_standard", "49e42da1fc2fe476"},
       {"fig2_lines", "dabf8882126ef454"},
       {"fig2_lowerbound", "980206e421ca2a54"},

@@ -2,7 +2,7 @@
 #
 #   run 4 shards (different thread counts) -> merge -> byte-compare
 #   against an unsharded reference run of the same spec; then exercise
-#   the journal --resume path and the compare gate.
+#   the report, the journal --resume path and the compare gate.
 #
 # Invoked with:
 #   cmake -DAMMB_SWEEP=<tool> -DSPEC=<spec.json> -DWORKDIR=<dir>
@@ -48,6 +48,74 @@ file(READ "${WORKDIR}/merged.json" merged)
 if(NOT merged STREQUAL reference)
   message(FATAL_ERROR "merged shard output differs from the unsharded run")
 endif()
+
+# The report reads shard outputs back as the paper's tables.  It exits
+# 0 when every run a theorem covers solved within its bound, 1 naming
+# the cell when one did not, and 2 on shards of another spec.
+function(run_report expected_rc)
+  execute_process(
+    COMMAND ${AMMB_SWEEP} report ${ARGN}
+    WORKING_DIRECTORY "${WORKDIR}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL expected_rc)
+    message(FATAL_ERROR
+            "ammb_sweep report ${ARGN} exited ${rc}, expected ${expected_rc}:"
+            "\n${out}\n${err}")
+  endif()
+  set(report_out "${out}" PARENT_SCOPE)
+  set(report_err "${err}" PARENT_SCOPE)
+endfunction()
+
+function(expect_text haystack needle)
+  string(FIND "${haystack}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "expected \"${needle}\" in:\n${haystack}")
+  endif()
+endfunction()
+
+run_report(0 "${SPEC}" ${shard_files})
+
+# Figure 2's network C has no finite restriction radius, so Theorem 3.1
+# covers it; the lower-bound adversary's runs land at (D-1)/(D+1) of
+# the bound, where D - 1 is the diameter of each G line.
+get_filename_component(sweeps_dir "${SPEC}" DIRECTORY)
+set(fig2 "${sweeps_dir}/fig2_lines.json")
+run_tool(run "${fig2}" --threads 2 --shard-json fig2_lines.json)
+run_report(0 "${fig2}" fig2_lines.json)
+foreach(row "4 | 3.1 | 192 | 320 | 0.600 | 3"
+            "8 | 3.1 | 448 | 576 | 0.778 | 7"
+            "16 | 3.1 | 960 | 1088 | 0.882 | 15"
+            "32 | 3.1 | 1984 | 2112 | 0.939 | 31")
+  string(REPLACE " | " ";" fields "${row}")
+  list(GET fields 0 d)
+  list(SUBLIST fields 1 -1 rest)
+  string(REPLACE ";" " | " rest "${rest}")
+  expect_text("${report_out}"
+              "| networkC-D${d} | lower-bound | 2 | fig2 | spread | static | "
+              "none | ${rest} | — |")
+endforeach()
+
+# Shards of another spec are refused before any bound is evaluated.
+run_report(2 "${fig2}" ${shard_files})
+expect_text("${report_err}"
+            "shard document is for sweep \"ci-smoke\", expected \"fig2-lines\"")
+
+# A record over its bound fails the report, naming its cell: run 0 is
+# cell 0 (line16, fast, k = 1), where Theorem 3.16 gives 15 Fprog.
+file(READ "${WORKDIR}/shard_0.json" shard)
+string(REGEX REPLACE "(\\{\"run_index\":0,[^}]*\"solve_time\":)[0-9]+"
+       "\\1999999" over "${shard}")
+if(over STREQUAL shard)
+  message(FATAL_ERROR "shard_0.json has no run 0 solve_time to raise")
+endif()
+file(WRITE "${WORKDIR}/over_0.json" "${over}")
+run_report(1 "${SPEC}" over_0.json shard_1.json shard_2.json shard_3.json)
+expect_text("${report_err}"
+            "cell 0 (topology=line16 scheduler=fast k=1 mac=std "
+            "workload=all-at-0 dynamics=static reaction=none) run 0 seed 1: "
+            "solve 999999 exceeds its Theorem 3.16 bound 60")
 
 # Kill-and-resume: drop the tail of the journal (losing complete lines
 # AND leaving a torn final line), then --resume must reproduce the
@@ -152,4 +220,5 @@ endif()
 file(WRITE "${WORKDIR}/shard_0.json" "${corrupted}")
 expect_input_error("runs[0].stats.bcasts" merge "${SPEC}" ${shard_files})
 
-message(STATUS "sweep CLI e2e: shard/merge/resume/compare all consistent")
+message(STATUS
+        "sweep CLI e2e: shard/merge/report/resume/compare all consistent")

@@ -7,6 +7,7 @@
 //              [--json PATH] [--csv PATH] [--runs-csv PATH]
 //              [--allow-errors] [--allow-violations]
 //   ammb_sweep merge SPEC.json SHARD.json... [--json PATH] [--csv PATH]
+//   ammb_sweep report SPEC.json SHARD.json...
 //   ammb_sweep compare RESULT.json --baseline BASELINE.json
 //              [--rel-tol R] [--abs-tol A]
 //   ammb_sweep print SPEC.json
@@ -17,13 +18,16 @@
 // --resume skips the already-journaled runs of a killed sweep —
 // reproducing the exact aggregate bytes the uninterrupted run would
 // have written.  `merge` re-aggregates N shard outputs bit-identically
-// to an unsharded run of the same spec; `compare` diffs a result
-// document against a committed baseline with explicit tolerances and
-// exits nonzero on any regression (the CI gate); `print` validates a
-// spec file and writes its canonical form.
+// to an unsharded run of the same spec; `report` reads the same shard
+// outputs back as the paper's tables, one Markdown row per cell with
+// each run checked against the theorem that covers it (runner/report.h);
+// `compare` diffs a result document against a committed baseline with
+// explicit tolerances and exits nonzero on any regression (the CI
+// gate); `print` validates a spec file and writes its canonical form.
 //
 // Exit codes: 0 success, 1 failed runs / merge mismatch / comparison
-// difference, 2 usage or input errors.
+// difference / a run over its theorem's bound, 2 usage or input
+// errors.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -38,6 +42,7 @@
 #include "runner/axis_codec.h"
 #include "runner/compare.h"
 #include "runner/emit.h"
+#include "runner/report.h"
 #include "runner/spec_io.h"
 #include "tools/cli.h"
 
@@ -65,6 +70,7 @@ int usage() {
          "                  [--allow-errors] [--allow-violations]\n"
          "       ammb_sweep merge SPEC.json SHARD.json... [--json PATH] "
          "[--csv PATH]\n"
+         "       ammb_sweep report SPEC.json SHARD.json...\n"
          "       ammb_sweep compare RESULT.json --baseline BASELINE.json\n"
          "                  [--rel-tol R] [--abs-tol A] [--ignore-key K[,...]]\n"
          "       ammb_sweep print SPEC.json\n";
@@ -298,16 +304,11 @@ int cmdRun(int argc, char** argv) {
 
 // --- merge ------------------------------------------------------------------
 
-int cmdMerge(int argc, char** argv) {
-  const Args args =
-      Args::parse(argc, argv, 2, {"--json", "--csv"}, {"--allow-errors"});
-  if (args.positional.size() < 2) return usage();
-  const std::string specPath = args.positional[0];
-
-  const runner::SpecDoc doc = runner::loadSpecFile(specPath);
-  const std::string fingerprint = runner::specFingerprint(doc);
-  const runner::SweepSpec spec = runner::buildSweep(doc);
-
+/// The records of the shard files named after the spec
+/// (positional[1..]), validated against it as one full grid.
+std::vector<runner::RunRecord> readShards(const Args& args,
+                                          const runner::SpecDoc& doc,
+                                          const runner::SweepSpec& spec) {
   std::vector<runner::ShardDoc> shards;
   for (std::size_t i = 1; i < args.positional.size(); ++i) {
     const std::string& path = args.positional[i];
@@ -317,10 +318,19 @@ int cmdMerge(int argc, char** argv) {
       throw Error(path + ": " + e.what());
     }
   }
+  return runner::mergeShardRecords(spec, runner::specFingerprint(doc),
+                                   std::move(shards));
+}
 
-  const std::size_t shardCount = shards.size();
-  std::vector<runner::RunRecord> records =
-      runner::mergeShardRecords(spec, fingerprint, std::move(shards));
+int cmdMerge(int argc, char** argv) {
+  const Args args =
+      Args::parse(argc, argv, 2, {"--json", "--csv"}, {"--allow-errors"});
+  if (args.positional.size() < 2) return usage();
+
+  const runner::SpecDoc doc = runner::loadSpecFile(args.positional[0]);
+  const runner::SweepSpec spec = runner::buildSweep(doc);
+  const std::size_t shardCount = args.positional.size() - 1;
+  std::vector<runner::RunRecord> records = readShards(args, doc, spec);
   std::size_t failed = 0;
   for (const runner::RunRecord& record : records) {
     if (record.failed()) ++failed;
@@ -345,6 +355,28 @@ int cmdMerge(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+// --- report -----------------------------------------------------------------
+
+int cmdReport(int argc, char** argv) {
+  const Args args = Args::parse(argc, argv, 2, {}, {});
+  if (args.positional.size() < 2) return usage();
+
+  const runner::SpecDoc doc = runner::loadSpecFile(args.positional[0]);
+  const runner::SweepSpec spec = runner::buildSweep(doc);
+  const std::vector<runner::RunRecord> records = readShards(args, doc, spec);
+  const runner::Report report = runner::buildReport(spec, records);
+  std::cout << runner::reportMarkdown(spec, report);
+  for (const std::string& v : report.violations) {
+    std::cerr << "report: " << v << "\n";
+  }
+  std::cerr << "report " << spec.name << ": " << report.rows.size()
+            << " cells, " << records.size() << " runs, "
+            << report.boundedRuns << " under a theorem, "
+            << report.violations.size()
+            << " failed, unsolved or over their bound\n";
+  return report.violations.empty() ? 0 : 1;
 }
 
 // --- compare ----------------------------------------------------------------
@@ -420,6 +452,7 @@ int main(int argc, char** argv) {
   try {
     if (command == "run") return cmdRun(argc, argv);
     if (command == "merge") return cmdMerge(argc, argv);
+    if (command == "report") return cmdReport(argc, argv);
     if (command == "compare") return cmdCompare(argc, argv);
     if (command == "print") return cmdPrint(argc, argv);
   } catch (const std::exception& e) {
