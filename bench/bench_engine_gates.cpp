@@ -40,6 +40,7 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "check/golden.h"
@@ -47,6 +48,7 @@
 #include "common/rng.h"
 #include "core/experiment.h"
 #include "graph/generators.h"
+#include "runner/emit.h"
 #include "runner/json.h"
 
 namespace {
@@ -164,15 +166,14 @@ Measure runOnce(const graph::DualGraph& topology, const Scenario& s,
   return m;
 }
 
+/// The engine counters under the run-record keys, in the same order.
 json::Object statsJson(const mac::EngineStats& s) {
   json::Object o;
-  o.emplace_back("bcasts", static_cast<std::int64_t>(s.bcasts));
-  o.emplace_back("rcvs", static_cast<std::int64_t>(s.rcvs));
-  o.emplace_back("forced_rcvs", static_cast<std::int64_t>(s.forcedRcvs));
-  o.emplace_back("acks", static_cast<std::int64_t>(s.acks));
-  o.emplace_back("aborts", static_cast<std::int64_t>(s.aborts));
-  o.emplace_back("delivers", static_cast<std::int64_t>(s.delivers));
-  o.emplace_back("arrives", static_cast<std::int64_t>(s.arrives));
+  for (const runner::RecordField<mac::EngineStats>& f :
+       runner::kStatsFields) {
+    const auto m = std::get<std::uint64_t mac::EngineStats::*>(f.member);
+    o.emplace_back(f.key, static_cast<std::int64_t>(s.*m));
+  }
   return o;
 }
 

@@ -27,14 +27,15 @@ bool reactsToChurn(const core::ProtocolSpec& protocol) {
 
 bool finalEpochRestoresConnectivity(const graph::TopologyView& view) {
   if (!view.dynamic()) return true;
-  const graph::CsrSnapshot& base = view.csrAt(0);
-  const graph::CsrSnapshot& last = view.csrAt(view.epochCount() - 1);
-  for (NodeId v = 0; v < view.base().n(); ++v) {
-    if (!last.nodeAlive(v)) return false;
+  const int lastEpoch = view.epochCount() - 1;
+  const graph::Graph& base = view.dualAt(0).g();
+  const graph::Graph& last = view.dualAt(lastEpoch).g();
+  for (NodeId v = 0; v < view.n(); ++v) {
+    if (!view.nodeAliveAt(lastEpoch, v)) return false;
     // Every base reliable edge must be back: merge-walk the sorted
     // adjacency spans, requiring base ⊆ last.
-    const auto baseAdj = base.gNeighbors(v);
-    const auto lastAdj = last.gNeighbors(v);
+    const graph::Graph::Span baseAdj = base.neighbors(v);
+    const graph::Graph::Span lastAdj = last.neighbors(v);
     const NodeId* b = baseAdj.begin();
     const NodeId* l = lastAdj.begin();
     while (b != baseAdj.end()) {
@@ -52,24 +53,16 @@ struct ExecutionChecker::Impl {
        Options optionsIn)
       : view(viewIn),
         protocol(protocolIn),
-        macParams(macIn),
         workload(workloadIn),
-        options(optionsIn),
+        macChecker(viewIn, macIn, optionsIn.macHorizonClip),
         mmb(viewIn.base(), workloadIn),
-        roundLen(macIn.fprog + 1) {
-    if (options.checkMac) {
-      macChecker = std::make_unique<mac::TraceChecker>(
-          view, macParams, options.macHorizonClip);
-    }
-  }
+        roundLen(macIn.fprog + 1) {}
 
   const graph::TopologyView& view;
   const core::ProtocolSpec& protocol;
-  const mac::MacParams& macParams;
   const core::MmbWorkload& workload;
-  Options options;
 
-  std::unique_ptr<mac::TraceChecker> macChecker;
+  mac::TraceChecker macChecker;
   core::MmbTraceChecker mmb;
 
   std::uint64_t bcasts = 0, rcvs = 0, acks = 0, aborts = 0, delivers = 0,
@@ -98,7 +91,7 @@ ExecutionChecker::~ExecutionChecker() = default;
 
 void ExecutionChecker::feed(const sim::TraceRecord& r) {
   Impl& im = *impl_;
-  if (im.macChecker != nullptr) im.macChecker->feed(r);
+  im.macChecker.feed(r);
   im.mmb.feed(r);
   switch (r.kind) {
     case TraceKind::kBcast: ++im.bcasts; break;
@@ -120,20 +113,14 @@ void ExecutionChecker::feed(const sim::TraceRecord& r) {
   }
 }
 
-OracleReport ExecutionChecker::finish(const core::RunResult& result,
-                                      const mac::CheckResult* externalMac) {
+OracleReport ExecutionChecker::finish(const core::RunResult& result) {
   Impl& im = *impl_;
   OracleReport report;
 
   // 1. MAC-layer axioms, up to the time the run stopped — epoch-aware:
   // each delivery is judged against its epoch's topology and the
   // ack/progress guarantees only bind whole-window-live links.
-  mac::CheckResult macResult;
-  if (externalMac != nullptr) {
-    macResult = *externalMac;
-  } else if (im.macChecker != nullptr) {
-    macResult = im.macChecker->finish(result.endTime);
-  }
+  mac::CheckResult macResult = im.macChecker.finish(result.endTime);
   for (const std::string& v : macResult.violations) add(report, "mac", v);
   report.macRecords = std::move(macResult.records);
 

@@ -67,16 +67,14 @@ bool finalEpochRestoresConnectivity(const graph::TopologyView& view);
 /// commit order, then finish() with the RunResult for the merged
 /// verdict — byte-identical to the offline composition.
 ///
-/// The MAC block is either computed internally (Options::checkMac,
-/// the default) or supplied post-hoc at finish() — the latter is for
-/// realized/net runs whose MAC verdict is produced elsewhere (e.g.
-/// against post-hoc fitted bounds).
+/// The MAC block always comes from an internal streaming
+/// mac::TraceChecker against the given params.  Realized and net runs,
+/// whose MAC bounds are only fitted after the run, are not streamed
+/// here: runner::executeRun re-checks their stored trace once the fit
+/// is known.
 class ExecutionChecker : public sim::TraceConsumer {
  public:
   struct Options {
-    /// Run the streaming mac::TraceChecker internally.  Disable when a
-    /// mac::CheckResult will be handed to finish() instead.
-    bool checkMac = true;
     /// Observation-window clip for the internal MAC checker (same
     /// semantics as mac::TraceChecker's horizonClip).  kTimeNever
     /// defers the horizon to finish(), which uses result.endTime —
@@ -88,7 +86,7 @@ class ExecutionChecker : public sim::TraceConsumer {
                    const core::ProtocolSpec& protocol,
                    const mac::MacParams& mac,
                    const core::MmbWorkload& workload, Options options);
-  /// Default options: internal MAC checker, horizon at finish().
+  /// Default options: MAC horizon at finish().
   ExecutionChecker(const graph::TopologyView& view,
                    const core::ProtocolSpec& protocol,
                    const mac::MacParams& mac,
@@ -102,11 +100,8 @@ class ExecutionChecker : public sim::TraceConsumer {
   void feed(const sim::TraceRecord& record);
   void onRecord(const sim::TraceRecord& record) override { feed(record); }
 
-  /// Assembles the merged verdict.  `externalMac`, when non-null,
-  /// becomes the report's MAC block verbatim (Options::checkMac should
-  /// then be false so no redundant internal checker ran).
-  OracleReport finish(const core::RunResult& result,
-                      const mac::CheckResult* externalMac = nullptr);
+  /// Assembles the merged verdict.
+  OracleReport finish(const core::RunResult& result);
 
  private:
   struct Impl;

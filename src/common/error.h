@@ -43,9 +43,12 @@ namespace detail {
   } while (false)
 
 /// Debug-only invariant check for hot paths whose inputs are validated
-/// at build time (CSR snapshots, finalized adjacency).  Compiles to
-/// nothing under NDEBUG so per-call adjacency queries stay branch-free
-/// in release builds; debug builds keep the throwing AMMB_ASSERT.
+/// at build time (a finalized graph::Graph's neighbor spans, epoch
+/// indices).  Compiles to nothing under NDEBUG so per-call adjacency
+/// queries stay branch-free in release builds; builds without NDEBUG
+/// keep the throwing AMMB_ASSERT.  CMake's Release and RelWithDebInfo
+/// both define NDEBUG; CI's ASan+UBSan job drops it so these checks
+/// run there.
 #ifdef NDEBUG
 #define AMMB_DCHECK(cond) \
   do {                    \

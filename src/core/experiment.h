@@ -315,9 +315,10 @@ using ArrivalFactory =
 
 /// Sequential seed sweep over [seedBegin, seedEnd): one run per seed on
 /// a shared topology, with config.seed overridden per run and a fresh
-/// arrival stream built per seed.  This is the single-cell,
-/// single-thread building block underneath runner::SweepRunner;
-/// results are indexed by seed - seedBegin.
+/// arrival stream built per seed.  Results are indexed by
+/// seed - seedBegin.  runner::SweepRunner does not call it: this is the
+/// sequential reference that SweepRunner.MatchesCoreRunSeedSweep checks
+/// the worker pool against.
 std::vector<RunResult> runSeedSweep(const graph::DualGraph& topology,
                                     const ProtocolSpec& protocol,
                                     const ArrivalFactory& arrivals,

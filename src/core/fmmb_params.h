@@ -21,7 +21,8 @@
 // over when sizing the gather stage; kInterleaved resolves this by
 // alternating gather and spread rounds forever after the MIS stage.
 // kSequential reproduces the paper's narrative stage order and needs
-// the k hint.
+// the k hint.  README, "Deviations from the paper", lists these
+// departures with the other FMMB ones.
 #pragma once
 
 #include <cmath>

@@ -4,8 +4,8 @@
 // (Section 4.1), implemented with the enhanced model's timers and
 // aborts: a node broadcasting "in round r" initiates the bcast at the
 // round start and aborts it at the round boundary if the ack has not
-// arrived.  One deviation (documented in DESIGN.md): rounds last
-// Fprog + 1 ticks, because the model's progress bound only binds on
+// arrived.  One deviation (README, "Deviations from the paper"):
+// rounds last Fprog + 1 ticks, because the model's progress bound only binds on
 // windows *strictly* longer than Fprog; with integer ticks one extra
 // tick is the minimum that forces an in-round delivery.
 #pragma once

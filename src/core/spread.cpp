@@ -53,8 +53,8 @@ void SpreadSubroutine::onVirtualRound(mac::Context& ctx, std::int64_t vr) {
   }
 }
 
-void SpreadSubroutine::onReceive(mac::Context& ctx, const mac::Packet& packet,
-                                 std::int64_t vr) {
+void SpreadSubroutine::onReceive(mac::Context& /*ctx*/,
+                                 const mac::Packet& packet, std::int64_t vr) {
   if (packet.kind != mac::PacketKind::kSpreadData || packet.msgs.empty()) {
     return;
   }
@@ -66,7 +66,7 @@ void SpreadSubroutine::onReceive(mac::Context& ctx, const mac::Packet& packet,
   // maximally adversarial scheduler may satisfy a receiver's progress
   // obligation over a G'-only edge, which would strand the chain at
   // distance >= 2 — and Lemma 4.7's 7c-ball argument already absorbs
-  // c-length relay hops (see DESIGN.md, deviation 5).
+  // c-length relay hops (README, "Deviations from the paper").
   const int sub = static_cast<int>(vr % 3);
   if (sub <= 1 && relayNext_ == kNoMsg) {
     relayNext_ = m;

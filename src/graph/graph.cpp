@@ -2,37 +2,49 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 
 namespace ammb::graph {
 
 Graph::Graph(NodeId n) {
   AMMB_REQUIRE(n >= 0, "graph size must be non-negative");
-  adj_.resize(static_cast<std::size_t>(n));
+  lists_.resize(static_cast<std::size_t>(n));
+  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
 }
 
 void Graph::addEdge(NodeId u, NodeId v) {
+  AMMB_REQUIRE(!finalized_, "cannot add an edge to a finalized graph");
   AMMB_REQUIRE(u >= 0 && u < n(), "node id out of range");
   AMMB_REQUIRE(v >= 0 && v < n(), "node id out of range");
   AMMB_REQUIRE(u != v, "self-loops are not allowed");
-  adj_[static_cast<std::size_t>(u)].push_back(v);
-  adj_[static_cast<std::size_t>(v)].push_back(u);
-  finalized_ = false;
+  lists_[static_cast<std::size_t>(u)].push_back(v);
+  lists_[static_cast<std::size_t>(v)].push_back(u);
 }
 
 void Graph::finalize() {
-  edgeCount_ = 0;
-  for (auto& nbrs : adj_) {
+  if (finalized_) return;
+  std::size_t total = 0;
+  for (auto& nbrs : lists_) {
     std::sort(nbrs.begin(), nbrs.end());
     nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    edgeCount_ += nbrs.size();
+    total += nbrs.size();
   }
-  edgeCount_ /= 2;
+  AMMB_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
+               "graph has more than 2^32 - 1 adjacency entries");
+  adj_.reserve(total);
+  // Each list is freed as soon as it is packed, so the peak stays near
+  // one copy of the adjacency.
+  for (std::size_t u = 0; u < lists_.size(); ++u) {
+    adj_.insert(adj_.end(), lists_[u].begin(), lists_[u].end());
+    offsets_[u + 1] = static_cast<std::uint32_t>(adj_.size());
+    std::vector<NodeId>().swap(lists_[u]);
+  }
+  std::vector<std::vector<NodeId>>().swap(lists_);
   finalized_ = true;
 }
 
 bool Graph::hasEdge(NodeId u, NodeId v) const {
-  if (u == v) return false;
-  const auto& nbrs = neighbors(u);
+  const Span nbrs = neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
@@ -56,7 +68,7 @@ std::vector<int> Graph::bfsDistancesMulti(
     const NodeId u = frontier.front();
     frontier.pop_front();
     const int du = dist[static_cast<std::size_t>(u)];
-    for (NodeId v : adj_[static_cast<std::size_t>(u)]) {
+    for (NodeId v : neighbors(u)) {
       if (dist[static_cast<std::size_t>(v)] == -1) {
         dist[static_cast<std::size_t>(v)] = du + 1;
         frontier.push_back(v);
@@ -88,7 +100,7 @@ std::vector<int> Graph::componentLabels() const {
     while (!frontier.empty()) {
       const NodeId u = frontier.front();
       frontier.pop_front();
-      for (NodeId v : adj_[static_cast<std::size_t>(u)]) {
+      for (NodeId v : neighbors(u)) {
         if (label[static_cast<std::size_t>(v)] == -1) {
           label[static_cast<std::size_t>(v)] = next;
           frontier.push_back(v);
@@ -122,7 +134,7 @@ Graph Graph::power(int r) const {
       frontier.pop_front();
       const int dx = dist[static_cast<std::size_t>(x)];
       if (dx == r) continue;
-      for (NodeId y : adj_[static_cast<std::size_t>(x)]) {
+      for (NodeId y : neighbors(x)) {
         if (dist[static_cast<std::size_t>(y)] == -1) {
           dist[static_cast<std::size_t>(y)] = dx + 1;
           frontier.push_back(y);
@@ -138,9 +150,9 @@ Graph Graph::power(int r) const {
 std::vector<std::pair<NodeId, NodeId>> Graph::edges() const {
   AMMB_REQUIRE(finalized_, "Graph::finalize() must be called first");
   std::vector<std::pair<NodeId, NodeId>> out;
-  out.reserve(edgeCount_);
+  out.reserve(edgeCount());
   for (NodeId u = 0; u < n(); ++u) {
-    for (NodeId v : adj_[static_cast<std::size_t>(u)]) {
+    for (NodeId v : neighbors(u)) {
       if (u < v) out.emplace_back(u, v);
     }
   }

@@ -5,9 +5,16 @@
 // single-graph building block: adjacency queries, BFS metrics (shortest
 // hop distances, diameter, eccentricity), connected components, and the
 // r-th power graph Gʳ used by the r-restricted analysis (Section 3.2).
+//
+// A finalized Graph is the one adjacency store of the library: every
+// consumer (schedulers, protocols, the engine and its progress guard,
+// the trace checker, the net backend) reads neighbors() spans over the
+// same flat compressed-sparse-row array, and nothing keeps a copy.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -17,25 +24,41 @@ namespace ammb::graph {
 
 /// An undirected simple graph with nodes 0..n-1.
 ///
-/// Edges are stored as sorted adjacency lists; `finalize()` must be
-/// called after the last `addEdge` and before adjacency queries (the
-/// generators do this for you).  Self-loops and parallel edges are
-/// rejected.
+/// Built in two phases.  `addEdge` collects per-node neighbor lists;
+/// `finalize()` sorts and deduplicates them, packs them into one CSR
+/// array (n + 1 `uint32` offsets plus the neighbor ids) and frees the
+/// lists.  Adjacency queries need a finalized graph (the generators
+/// finalize for you); the graph cannot gain edges afterwards.
+/// Self-loops are rejected; parallel edges collapse into one.
 class Graph {
  public:
+  /// Contiguous sorted neighbor range (C++17 stand-in for std::span).
+  /// Valid while the graph lives; moving the graph keeps it valid.
+  struct Span {
+    const NodeId* ptr = nullptr;
+    std::size_t len = 0;
+    const NodeId* begin() const { return ptr; }
+    const NodeId* end() const { return ptr + len; }
+    std::size_t size() const { return len; }
+    bool empty() const { return len == 0; }
+  };
+
   /// Creates a graph with `n` isolated nodes.
   explicit Graph(NodeId n);
 
   /// Number of nodes.
-  NodeId n() const { return static_cast<NodeId>(adj_.size()); }
+  NodeId n() const { return static_cast<NodeId>(offsets_.size() - 1); }
 
-  /// Number of undirected edges.
-  std::size_t edgeCount() const { return edgeCount_; }
+  /// Number of undirected edges (0 until finalize()).
+  std::size_t edgeCount() const { return adj_.size() / 2; }
 
-  /// Adds the undirected edge {u, v}.  Duplicate insertions are idempotent.
+  /// Adds the undirected edge {u, v}.  Duplicate insertions are
+  /// idempotent.  Throws once the graph is finalized.
   void addEdge(NodeId u, NodeId v);
 
-  /// Sorts adjacency lists and deduplicates; call once after building.
+  /// Sorts, deduplicates and packs the adjacency; call once after
+  /// building.  A second call is a no-op.  Throws if the graph holds
+  /// more than 2^32 - 1 adjacency entries (the offsets are 32-bit).
   void finalize();
 
   /// True after finalize().
@@ -43,13 +66,15 @@ class Graph {
 
   /// Sorted neighbors of `u`.  Bounds and finalization are debug-only
   /// checks (AMMB_DCHECK): every Graph that reaches the delivery hot
-  /// path is validated at construction (generators finalize, CSR
-  /// snapshots re-validate at build time), so release builds pay no
-  /// per-call branch here.
-  const std::vector<NodeId>& neighbors(NodeId u) const {
+  /// path is finalized at construction, so release builds pay no
+  /// per-call branch here.  An unfinalized graph reads as edgeless in
+  /// release builds, since its offsets are all zero.
+  Span neighbors(NodeId u) const {
     AMMB_DCHECK(u >= 0 && u < n());
     AMMB_DCHECK(finalized_);
-    return adj_[static_cast<std::size_t>(u)];
+    const auto lo = offsets_[static_cast<std::size_t>(u)];
+    const auto hi = offsets_[static_cast<std::size_t>(u) + 1];
+    return {adj_.data() + lo, hi - lo};
   }
 
   /// True iff {u, v} is an edge.  O(log deg).
@@ -85,14 +110,12 @@ class Graph {
   std::vector<std::pair<NodeId, NodeId>> edges() const;
 
  private:
-  /// Debug-only on the query paths; mutation paths (addEdge) validate
-  /// with AMMB_REQUIRE at the call site since they are cold.
-  void checkNode([[maybe_unused]] NodeId u) const {
-    AMMB_DCHECK(u >= 0 && u < n());
-  }
-
-  std::vector<std::vector<NodeId>> adj_;
-  std::size_t edgeCount_ = 0;
+  /// Per-node neighbor lists collected by addEdge; freed by finalize().
+  std::vector<std::vector<NodeId>> lists_;
+  /// CSR offsets (n + 1 entries): u's neighbors are
+  /// adj_[offsets_[u], offsets_[u + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<NodeId> adj_;
   bool finalized_ = false;
 };
 

@@ -53,44 +53,11 @@ void TopologyDynamics::validate() const {
   }
 }
 
-bool CsrSnapshot::hasGEdge(NodeId u, NodeId v) const {
-  const Span nbrs = gNeighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
-}
-
-bool CsrSnapshot::hasPrimeEdge(NodeId u, NodeId v) const {
-  const Span nbrs = pNeighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
-}
-
-CsrSnapshot CsrSnapshot::build(const DualGraph& dual,
-                               const std::vector<std::uint8_t>& aliveMask) {
-  const NodeId n = dual.n();
-  AMMB_REQUIRE(static_cast<NodeId>(aliveMask.size()) == n,
-               "liveness mask size must match node count");
-  CsrSnapshot csr;
-  csr.alive = aliveMask;
-  csr.gOffsets.resize(static_cast<std::size_t>(n) + 1, 0);
-  csr.pOffsets.resize(static_cast<std::size_t>(n) + 1, 0);
-  csr.gAdj.reserve(2 * dual.g().edgeCount());
-  csr.pAdj.reserve(2 * dual.gPrime().edgeCount());
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : dual.g().neighbors(u)) csr.gAdj.push_back(v);
-    for (NodeId v : dual.gPrime().neighbors(u)) csr.pAdj.push_back(v);
-    csr.gOffsets[static_cast<std::size_t>(u) + 1] =
-        static_cast<std::uint32_t>(csr.gAdj.size());
-    csr.pOffsets[static_cast<std::size_t>(u) + 1] =
-        static_cast<std::uint32_t>(csr.pAdj.size());
-  }
-  return csr;
-}
-
 TopologyView::TopologyView(const DualGraph& base) : base_(&base) {
   Epoch epoch;
   epoch.start = 0;
   epoch.dual = base_;
-  epoch.csr = CsrSnapshot::build(
-      base, std::vector<std::uint8_t>(static_cast<std::size_t>(base.n()), 1));
+  epoch.alive.assign(static_cast<std::size_t>(base.n()), 1);
   epochs_.push_back(std::move(epoch));
 }
 
@@ -115,10 +82,10 @@ TopologyView::TopologyView(const DualGraph& base,
     // Touched-node bookkeeping for touchedAt(): a crash voids the
     // *previous* epoch's adjacency (read it before the events apply),
     // a recovery creates the *new* epoch's adjacency (resolved after
-    // the CSR below is built).
+    // the new epoch's graph below is built).
     std::vector<NodeId> touched;
     std::vector<NodeId> recovered;
-    const CsrSnapshot& prevCsr = epochs_.back().csr;
+    const Graph& prevPrime = epochs_.back().dual->gPrime();
     for (const TopologyEvent& ev : spec.events) {
       switch (ev.kind) {
         case TopologyEvent::Kind::kNodeCrash:
@@ -127,7 +94,7 @@ TopologyView::TopologyView(const DualGraph& base,
                        "dynamics crash of an already-crashed node");
           alive[static_cast<std::size_t>(ev.u)] = 0;
           touched.push_back(ev.u);
-          for (NodeId j : prevCsr.pNeighbors(ev.u)) touched.push_back(j);
+          for (NodeId j : prevPrime.neighbors(ev.u)) touched.push_back(j);
           break;
         case TopologyEvent::Kind::kNodeRecover:
           checkNode(ev.u);
@@ -172,9 +139,9 @@ TopologyView::TopologyView(const DualGraph& base,
     Epoch epoch;
     epoch.start = spec.start;
     epoch.dual = owned_.back().get();
-    epoch.csr = CsrSnapshot::build(*epoch.dual, alive);
+    epoch.alive = alive;
     for (NodeId u : recovered) {
-      for (NodeId j : epoch.csr.pNeighbors(u)) touched.push_back(j);
+      for (NodeId j : epoch.dual->gPrime().neighbors(u)) touched.push_back(j);
     }
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
@@ -194,10 +161,10 @@ int TopologyView::epochAt(Time t) const {
 }
 
 Time TopologyView::gEdgeLiveSince(int e, NodeId u, NodeId v) const {
-  if (!epoch(e).csr.hasGEdge(u, v)) return kTimeNever;
+  if (!dualAt(e).g().hasEdge(u, v)) return kTimeNever;
   Time since = epoch(e).start;
   for (int p = e - 1; p >= 0; --p) {
-    if (!epoch(p).csr.hasGEdge(u, v)) break;
+    if (!dualAt(p).g().hasEdge(u, v)) break;
     since = epoch(p).start;
   }
   return since;
@@ -208,7 +175,7 @@ bool TopologyView::gEdgeLiveThroughout(NodeId u, NodeId v, Time t1,
   AMMB_REQUIRE(t1 <= t2, "gEdgeLiveThroughout needs an ordered interval");
   const int last = epochAt(t2);
   for (int e = epochAt(t1); e <= last; ++e) {
-    if (!epoch(e).csr.hasGEdge(u, v)) return false;
+    if (!dualAt(e).g().hasEdge(u, v)) return false;
   }
   return true;
 }

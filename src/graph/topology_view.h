@@ -14,11 +14,11 @@
 // which keeps the model purely link-level, exactly like the paper's
 // unreliability story.  E ⊆ E′ is re-validated for every epoch.
 //
-// Every epoch also materializes a flat CSR adjacency snapshot
-// (CsrSnapshot).  The engine's delivery hot path iterates those
-// contiguous arrays instead of per-call map/assertion-guarded vector
-// lookups, so the static single-epoch case gets *faster* while dynamic
-// cases become possible at all.
+// An epoch keeps no adjacency besides its DualGraph.  Every consumer,
+// the engine's delivery hot path included, reads it through
+// dualAt(e).g() / .gPrime(), whose Graph is already a flat CSR array.
+// The static view borrows the base DualGraph, so a single-epoch run
+// stores its topology exactly once.
 #pragma once
 
 #include <memory>
@@ -59,67 +59,19 @@ struct TopologyDynamics {
   void validate() const;
 };
 
-/// Flat compressed-sparse-row adjacency of one epoch, over both graphs.
-/// Adjacency excludes crashed endpoints entirely, so "has an edge" and
-/// "may communicate right now" coincide.  Built once per epoch; all
-/// queries are branch-free array walks / binary searches.
-struct CsrSnapshot {
-  /// Contiguous neighbor range (C++17 stand-in for std::span).
-  struct Span {
-    const NodeId* ptr = nullptr;
-    std::size_t len = 0;
-    const NodeId* begin() const { return ptr; }
-    const NodeId* end() const { return ptr + len; }
-    std::size_t size() const { return len; }
-    bool empty() const { return len == 0; }
-  };
-
-  std::vector<std::uint32_t> gOffsets;  ///< n + 1
-  std::vector<NodeId> gAdj;             ///< E neighbors, sorted per node
-  std::vector<std::uint32_t> pOffsets;  ///< n + 1
-  std::vector<NodeId> pAdj;             ///< E′ neighbors, sorted per node
-  std::vector<std::uint8_t> alive;      ///< per-node liveness mask
-
-  NodeId n() const { return static_cast<NodeId>(alive.size()); }
-
-  Span gNeighbors(NodeId u) const {
-    AMMB_DCHECK(u >= 0 && u < n());
-    const auto lo = gOffsets[static_cast<std::size_t>(u)];
-    const auto hi = gOffsets[static_cast<std::size_t>(u) + 1];
-    return {gAdj.data() + lo, hi - lo};
-  }
-  Span pNeighbors(NodeId u) const {
-    AMMB_DCHECK(u >= 0 && u < n());
-    const auto lo = pOffsets[static_cast<std::size_t>(u)];
-    const auto hi = pOffsets[static_cast<std::size_t>(u) + 1];
-    return {pAdj.data() + lo, hi - lo};
-  }
-
-  bool hasGEdge(NodeId u, NodeId v) const;
-  bool hasPrimeEdge(NodeId u, NodeId v) const;
-  bool nodeAlive(NodeId u) const {
-    AMMB_DCHECK(u >= 0 && u < n());
-    return alive[static_cast<std::size_t>(u)] != 0;
-  }
-
-  /// Builds the snapshot from a materialized epoch topology (whose
-  /// adjacency must already exclude dead endpoints) plus the mask.
-  static CsrSnapshot build(const DualGraph& dual,
-                           const std::vector<std::uint8_t>& aliveMask);
-};
-
 /// An epoch-indexed view over a (possibly changing) dual-graph
 /// topology.  The base DualGraph is borrowed and must outlive the
 /// view; later epochs are owned materializations.  For the static case
 /// (no dynamics) the view is a single epoch whose DualGraph *is* the
-/// base — `dualAt(0)` returns the exact object passed in.
+/// base — `dualAt(0)` returns the exact object passed in, and no
+/// adjacency is copied.
 class TopologyView {
  public:
   /// Static single-epoch view over `base` (borrowed).
   explicit TopologyView(const DualGraph& base);
 
   /// Dynamic view: applies `dynamics` to the running edge/liveness
-  /// state, materializing one DualGraph + CsrSnapshot per epoch.
+  /// state, materializing one DualGraph + liveness mask per epoch.
   TopologyView(const DualGraph& base, const TopologyDynamics& dynamics);
 
   TopologyView(const TopologyView&) = delete;
@@ -143,14 +95,16 @@ class TopologyView {
   /// The epoch covering time `t` (epochs are half-open [start, next)).
   int epochAt(Time t) const;
 
-  /// The materialized topology of epoch `e` (adjacency excludes
-  /// crashed endpoints).
+  /// The materialized topology of epoch `e`.  Adjacency excludes
+  /// crashed endpoints entirely, so "has an edge" and "may communicate
+  /// right now" coincide.
   const DualGraph& dualAt(int e) const { return *epoch(e).dual; }
 
-  /// The flat-adjacency snapshot of epoch `e`.
-  const CsrSnapshot& csrAt(int e) const { return epoch(e).csr; }
-
-  bool nodeAliveAt(int e, NodeId v) const { return epoch(e).csr.nodeAlive(v); }
+  /// True iff node `v` is up (not crashed) in epoch `e`.
+  bool nodeAliveAt(int e, NodeId v) const {
+    AMMB_DCHECK(v >= 0 && v < n());
+    return epoch(e).alive[static_cast<std::size_t>(v)] != 0;
+  }
 
   /// Start time of the maximal run of consecutive epochs ending at
   /// `e` throughout which {u, v} ∈ E (with both endpoints alive).
@@ -182,7 +136,7 @@ class TopologyView {
   struct Epoch {
     Time start = 0;
     const DualGraph* dual = nullptr;  ///< base_ or an owned_ entry
-    CsrSnapshot csr;
+    std::vector<std::uint8_t> alive;  ///< per-node liveness mask
     std::vector<NodeId> touched;  ///< see touchedAt()
   };
 

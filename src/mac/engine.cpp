@@ -22,11 +22,11 @@ InstanceId Scheduler::pickProgressDelivery(
 
 NodeId Context::n() const { return layer_.n(); }
 
-const std::vector<NodeId>& Context::gNeighbors() const {
+graph::Graph::Span Context::gNeighbors() const {
   return layer_.topology().g().neighbors(node_);
 }
 
-const std::vector<NodeId>& Context::gPrimeNeighbors() const {
+graph::Graph::Span Context::gPrimeNeighbors() const {
   return layer_.topology().gPrime().neighbors(node_);
 }
 
@@ -98,7 +98,7 @@ MacEngine::MacEngine(std::optional<graph::TopologyView> owned,
                      bool traceEnabled, sim::TraceMode traceMode)
     : ownedView_(std::move(owned)),
       view_(view != nullptr ? view : &*ownedView_),
-      csr_(&view_->csrAt(0)),
+      dual_(&view_->dualAt(0)),
       params_(params),
       scheduler_(std::move(scheduler)),
       trace_(traceEnabled, traceMode),
@@ -225,10 +225,10 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
   const DeliveryPlan plan = scheduler_->planBcast(inst);
   if (validatePlans_) validatePlan(inst, plan);
   inst.plannedAck = plan.ackAt;
-  const graph::CsrSnapshot::Span gNbrs = csr_->gNeighbors(node);
+  const graph::Graph::Span gNbrs = dual_->g().neighbors(node);
   inst.pendingGDeliveries = static_cast<int>(gNbrs.size());
-  // Static views skip the per-instance set: the countdown plus a
-  // CSR membership probe is equivalent when edges never change.
+  // Static views skip the per-instance set: the countdown plus an
+  // adjacency membership probe is equivalent when edges never change.
   if (view_->dynamic()) inst.requiredG.assign(gNbrs.begin(), gNbrs.end());
 
   inst.reserveFanout(plan.deliveries.size());
@@ -241,7 +241,7 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
       queue_.schedule(plan.ackAt, [this, id] { onAckEvent(id); });
 
   ns.current = id;
-  for (NodeId j : csr_->pNeighbors(node)) {
+  for (NodeId j : dual_->gPrime().neighbors(node)) {
     state(j).addLive(id);
   }
   // The new instance changes the need set of the sender's G-neighbors.
@@ -348,7 +348,7 @@ void MacEngine::validatePlan(const Instance& instance,
                  "scheduler plan for " + who() +
                      " delivers to the sender itself (node " +
                      std::to_string(d.target) + ")");
-    AMMB_REQUIRE(csr_->hasPrimeEdge(instance.sender, d.target),
+    AMMB_REQUIRE(dual_->gPrime().hasEdge(instance.sender, d.target),
                  "scheduler plan for " + who() + " delivers to node " +
                      std::to_string(d.target) +
                      ", which is not a G'-neighbor of the sender in epoch " +
@@ -369,7 +369,7 @@ void MacEngine::validatePlan(const Instance& instance,
                    (dup == planScratch_.end() ? std::string("?")
                                               : std::to_string(*dup)) +
                    ")");
-  for (NodeId j : csr_->gNeighbors(instance.sender)) {
+  for (NodeId j : dual_->g().neighbors(instance.sender)) {
     AMMB_REQUIRE(
         std::binary_search(planScratch_.begin(), planScratch_.end(), j),
         "scheduler plan for " + who() +
@@ -390,7 +390,7 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
   inst.markDelivered(receiver);
   if (view_->dynamic()) {
     if (inst.removeRequiredG(receiver)) --inst.pendingGDeliveries;
-  } else if (csr_->hasGEdge(inst.sender, receiver)) {
+  } else if (dual_->g().hasEdge(inst.sender, receiver)) {
     --inst.pendingGDeliveries;
     AMMB_ASSERT(inst.pendingGDeliveries >= 0);
   }
@@ -442,9 +442,9 @@ void MacEngine::finishInstance(Instance& inst) {
   // The instance no longer contends anywhere; coverage intervals it
   // provided are now capped at termAt, so re-evaluate the neighborhood.
   // Live-list membership always tracks the *current* epoch's E'
-  // neighborhood (epoch boundaries rebuild it), so the current CSR
+  // neighborhood (epoch boundaries rebuild it), so the current G'
   // span covers exactly the nodes holding this instance.
-  const graph::CsrSnapshot::Span pNbrs = csr_->pNeighbors(inst.sender);
+  const graph::Graph::Span pNbrs = dual_->gPrime().neighbors(inst.sender);
   for (NodeId j : pNbrs) {
     state(j).removeLive(inst.id);
   }
@@ -455,7 +455,7 @@ void MacEngine::finishInstance(Instance& inst) {
   // Static topologies never add such extras: deliveredTo is always a
   // subset of the sender's E' neighborhood there.
   for (NodeId j : inst.deliveredTo) {
-    if (!csr_->hasPrimeEdge(inst.sender, j)) guard_.recompute(j);
+    if (!dual_->gPrime().hasEdge(inst.sender, j)) guard_.recompute(j);
   }
 }
 
@@ -470,7 +470,7 @@ void MacEngine::releaseIfSettled(Instance& inst) {
 void MacEngine::onEpochBoundary(int e) {
   AMMB_ASSERT(e == epoch_ + 1);
   epoch_ = e;
-  csr_ = &view_->csrAt(e);
+  dual_ = &view_->dualAt(e);
   trace_.add({now(), sim::TraceKind::kEpoch, kNoNode, kNoInstance,
               static_cast<MsgId>(e)});
 
@@ -489,7 +489,7 @@ void MacEngine::onEpochBoundary(int e) {
     std::vector<Instance::PendingDelivery>& pending = inst.pending;
     bool dropped = false;
     for (std::size_t p = pending.size(); p-- > 0;) {
-      if (csr_->hasPrimeEdge(s, pending[p].target)) continue;
+      if (dual_->gPrime().hasEdge(s, pending[p].target)) continue;
       queue_.cancel(pending[p].handle);
       if (p + 1 != pending.size()) pending[p] = pending.back();
       pending.pop_back();
@@ -499,7 +499,7 @@ void MacEngine::onEpochBoundary(int e) {
       std::vector<NodeId>& req = inst.requiredG;
       req.erase(std::remove_if(
                     req.begin(), req.end(),
-                    [this, s](NodeId j) { return !csr_->hasGEdge(s, j); }),
+                    [this, s](NodeId j) { return !dual_->g().hasEdge(s, j); }),
                 req.end());
       inst.pendingGDeliveries = static_cast<int>(req.size());
     }
@@ -515,7 +515,7 @@ void MacEngine::onEpochBoundary(int e) {
   guard_.clearNeeds();
   for (const Instance& inst : instances_) {
     if (inst.terminated) continue;
-    for (NodeId j : csr_->pNeighbors(inst.sender)) {
+    for (NodeId j : dual_->gPrime().neighbors(inst.sender)) {
       state(j).addLive(inst.id);
     }
     guard_.addNeeds(inst);
@@ -538,7 +538,7 @@ void MacEngine::onEpochBoundary(int e) {
   // superset; untouched nodes have identical neighborhoods by
   // construction.
   if (!epochNotifications_) return;
-  const graph::CsrSnapshot& prev = view_->csrAt(e - 1);
+  const graph::Graph& prev = view_->dualAt(e - 1).g();
   const std::vector<NodeId>& touched = view_->touchedAt(e);
   std::size_t t = 0;  // touched is sorted and duplicate-free
   for (NodeId v = 0; v < n(); ++v) {
@@ -547,8 +547,8 @@ void MacEngine::onEpochBoundary(int e) {
     if (t < touched.size() && touched[t] == v) {
       ++t;
       change.touched = true;
-      const graph::CsrSnapshot::Span before = prev.gNeighbors(v);
-      const graph::CsrSnapshot::Span after = csr_->gNeighbors(v);
+      const graph::Graph::Span before = prev.neighbors(v);
+      const graph::Graph::Span after = dual_->g().neighbors(v);
       const NodeId* b = before.begin();
       const NodeId* a = after.begin();
       while (b != before.end() && a != after.end()) {

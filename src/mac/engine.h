@@ -90,7 +90,8 @@ class MacEngine : public MacLayer {
             sim::KernelSpec kernel = {}, sim::TraceMode traceMode = {});
 
   /// Static-topology convenience: wraps `topology` in an owned
-  /// single-epoch view.  The topology must outlive the engine.
+  /// single-epoch view, which borrows it and copies no adjacency.  The
+  /// topology must outlive the engine.
   MacEngine(const graph::DualGraph& topology, MacParams params,
             std::unique_ptr<Scheduler> scheduler, ProcessFactory factory,
             std::uint64_t seed, bool traceEnabled = true,
@@ -160,9 +161,7 @@ class MacEngine : public MacLayer {
   /// The *current epoch's* topology.  Schedulers, processes and the
   /// guard all read this, so they are epoch-aware for free; on a
   /// static view it is the exact DualGraph the engine was built over.
-  const graph::DualGraph& topology() const override {
-    return view_->dualAt(epoch_);
-  }
+  const graph::DualGraph& topology() const override { return *dual_; }
   /// The full epoch-indexed view (offline checkers need every epoch).
   const graph::TopologyView& view() const { return *view_; }
   /// The epoch covering now().
@@ -251,9 +250,10 @@ class MacEngine : public MacLayer {
   /// Owned single-epoch view when constructed from a bare DualGraph.
   std::optional<graph::TopologyView> ownedView_;
   const graph::TopologyView* view_ = nullptr;
-  /// The epoch covering now(); csr_ caches its flat adjacency.
+  /// The epoch covering now(); dual_ caches its topology, whose
+  /// graphs' neighbors() spans the delivery hot path walks.
   int epoch_ = 0;
-  const graph::CsrSnapshot* csr_ = nullptr;
+  const graph::DualGraph* dual_ = nullptr;
   MacParams params_;
   std::unique_ptr<Scheduler> scheduler_;
   sim::EventQueue queue_;

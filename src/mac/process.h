@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "graph/graph.h"
 #include "mac/layer.h"
 #include "mac/packet.h"
 #include "mac/params.h"
@@ -31,9 +32,9 @@ class Context {
   /// Network size (node ids are 0..n-1).
   NodeId n() const;
   /// Ids of reliable (G) neighbors, sorted.
-  const std::vector<NodeId>& gNeighbors() const;
+  graph::Graph::Span gNeighbors() const;
   /// Ids of all G' neighbors (superset of gNeighbors()), sorted.
-  const std::vector<NodeId>& gPrimeNeighbors() const;
+  graph::Graph::Span gPrimeNeighbors() const;
   /// True iff `v` is a reliable neighbor — nodes can assess link
   /// quality (Section 2).
   bool isGNeighbor(NodeId v) const;

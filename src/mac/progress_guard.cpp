@@ -19,7 +19,7 @@ void ProgressGuard::onBcast(const Instance& inst) {
 void ProgressGuard::addNeeds(const Instance& inst) {
   const graph::TopologyView& view = *engine_.view_;
   const Time hi = inst.plannedAck - engine_.params().fprog - 1;
-  for (NodeId j : engine_.csr_->gNeighbors(inst.sender)) {
+  for (NodeId j : engine_.dual_->g().neighbors(inst.sender)) {
     // Windows are quantified over the link's continuous live span: an
     // E-edge that came up after the bcast obliges the model only from
     // then on (the offline checker applies the same rule per span).  A
@@ -48,7 +48,7 @@ void ProgressGuard::onTerminate(const Instance& inst) {
   }
   // The windows were added at the sender's G-neighbors of the current
   // epoch (a boundary re-adds them), so that span holds all of them.
-  for (NodeId j : engine_.csr_->gNeighbors(inst.sender)) {
+  for (NodeId j : engine_.dual_->g().neighbors(inst.sender)) {
     std::vector<Need>& needs = states_[static_cast<std::size_t>(j)].needs;
     const auto it =
         std::find_if(needs.begin(), needs.end(), [&inst](const Need& nd) {

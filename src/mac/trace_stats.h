@@ -2,8 +2,8 @@
 //
 // Post-processing helpers over recorded executions: per-message
 // delivery latency profiles, per-hop frontier timelines, and breakdowns
-// of reliable vs unreliable link usage.  The example binaries and
-// EXPERIMENTS.md tables are produced with these.
+// of reliable vs unreliable link usage.  The paper's tables do not use
+// them: those come from sweep records (README, "Paper tables").
 #pragma once
 
 #include <vector>

@@ -1,5 +1,5 @@
 // The dynamic topology engine, end to end: TopologyView epoch
-// materialization and CSR snapshots, schedule generators, the engine's
+// materialization and liveness masks, schedule generators, the engine's
 // boundary reconciliation, epoch-aware oracles, the stale-topology
 // mutation fixture, dynamics-axis sweeps (deterministic at any thread
 // count), and the spec-file round trip of the dynamics axis.
@@ -49,25 +49,57 @@ TEST(TopologyView, StaticViewIsTheBaseTopology) {
   EXPECT_TRUE(view.gEdgeLiveThroughout(1, 2, 0, 999));
 }
 
-TEST(TopologyView, CsrSnapshotMatchesAdjacency) {
+// Every (u, v) with u < v listed by `g`'s neighbor spans, in order.
+std::vector<std::pair<NodeId, NodeId>> spanEdges(const graph::Graph& g) {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  for (NodeId u = 0; u < g.n(); ++u) {
+    for (NodeId v : g.neighbors(u)) {
+      if (u < v) out.emplace_back(u, v);
+    }
+  }
+  return out;
+}
+
+TEST(TopologyView, EpochsReadTheirDualGraphsAdjacency) {
   Rng rng(7);
   const auto base = gen::withArbitraryNoise(gen::line(8), 4, rng);
-  const TopologyView view(base);
-  const graph::CsrSnapshot& csr = view.csrAt(0);
+
+  // The static view copies no adjacency: its epoch-0 spans are the base
+  // graphs' own storage.
+  const TopologyView fixed(base);
   for (NodeId u = 0; u < base.n(); ++u) {
-    const auto& g = base.g().neighbors(u);
-    const auto gSpan = csr.gNeighbors(u);
-    ASSERT_EQ(gSpan.size(), g.size());
-    EXPECT_TRUE(std::equal(gSpan.begin(), gSpan.end(), g.begin()));
-    const auto& gp = base.gPrime().neighbors(u);
-    const auto pSpan = csr.pNeighbors(u);
-    ASSERT_EQ(pSpan.size(), gp.size());
-    EXPECT_TRUE(std::equal(pSpan.begin(), pSpan.end(), gp.begin()));
-    EXPECT_TRUE(csr.nodeAlive(u));
-    for (NodeId v = 0; v < base.n(); ++v) {
-      EXPECT_EQ(csr.hasGEdge(u, v), base.g().hasEdge(u, v));
-      EXPECT_EQ(csr.hasPrimeEdge(u, v), base.gPrime().hasEdge(u, v));
-    }
+    EXPECT_EQ(fixed.dualAt(0).g().neighbors(u).begin(),
+              base.g().neighbors(u).begin());
+    EXPECT_EQ(fixed.dualAt(0).gPrime().neighbors(u).begin(),
+              base.gPrime().neighbors(u).begin());
+    EXPECT_TRUE(fixed.nodeAliveAt(0, u));
+  }
+
+  // A crash epoch: each graph's spans list exactly the base edges that
+  // avoid the dead node, and the dead node has none.
+  TopologyDynamics dynamics;
+  dynamics.epochs.push_back(
+      {10, {{TopologyEvent::Kind::kNodeCrash, 2, kNoNode, false}}});
+  const TopologyView view(base, dynamics);
+  ASSERT_EQ(view.epochCount(), 2);
+  const auto without2 = [](const graph::Graph& g) {
+    std::vector<std::pair<NodeId, NodeId>> out = g.edges();
+    out.erase(std::remove_if(out.begin(), out.end(),
+                             [](const auto& e) {
+                               return e.first == 2 || e.second == 2;
+                             }),
+              out.end());
+    return out;
+  };
+  const graph::DualGraph& crashed = view.dualAt(1);
+  EXPECT_EQ(spanEdges(crashed.g()), crashed.g().edges());
+  EXPECT_EQ(spanEdges(crashed.gPrime()), crashed.gPrime().edges());
+  EXPECT_EQ(crashed.g().edges(), without2(base.g()));
+  EXPECT_EQ(crashed.gPrime().edges(), without2(base.gPrime()));
+  EXPECT_TRUE(crashed.g().neighbors(2).empty());
+  EXPECT_TRUE(crashed.gPrime().neighbors(2).empty());
+  for (NodeId u = 0; u < base.n(); ++u) {
+    EXPECT_EQ(view.nodeAliveAt(1, u), u != 2);
   }
 }
 

@@ -127,22 +127,57 @@ TEST(Graph, RejectsBadInput) {
   Graph g(3);
   EXPECT_THROW(g.addEdge(0, 0), Error);
   EXPECT_THROW(g.addEdge(0, 5), Error);
+  g.addEdge(0, 1);
+  EXPECT_EQ(g.edgeCount(), 0u);  // counted at finalize()
 #ifndef NDEBUG
   // Query-path bounds/finalization checks are AMMB_DCHECK: they throw
-  // in debug builds and compile out of release hot paths (the CSR
-  // snapshots and generators validate adjacency at build time).
+  // in debug builds and compile out of release hot paths (the
+  // generators finalize every graph they build).
   EXPECT_THROW(g.neighbors(0), Error);  // not finalized
+  EXPECT_THROW(g.hasEdge(0, 1), Error);
+#else
+  // The constructor sizes the offsets, so a release build reads an
+  // unfinalized graph as edgeless instead of out of bounds.
+  EXPECT_TRUE(g.neighbors(0).empty());
+  EXPECT_TRUE(g.neighbors(2).empty());
+  EXPECT_FALSE(g.hasEdge(0, 1));
 #endif
   g.finalize();
+  EXPECT_THROW(g.addEdge(1, 2), Error);  // a finalized graph is frozen
+  EXPECT_FALSE(g.hasEdge(1, 2));
   EXPECT_THROW(g.power(0), Error);
 }
 
+std::vector<NodeId> spanOf(const Graph& g, NodeId u) {
+  const Graph::Span s = g.neighbors(u);
+  return {s.begin(), s.end()};
+}
+
 TEST(Graph, AddEdgeIdempotent) {
-  Graph g(3);
+  Graph g(5);
+  g.addEdge(3, 0);
   g.addEdge(0, 1);
+  g.addEdge(4, 0);
   g.addEdge(1, 0);
+  g.addEdge(0, 3);
+  g.addEdge(2, 1);
   g.finalize();
-  EXPECT_EQ(g.edgeCount(), 1u);
+  EXPECT_EQ(g.edgeCount(), 4u);
+  EXPECT_EQ(spanOf(g, 0), (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_EQ(spanOf(g, 1), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(spanOf(g, 2), (std::vector<NodeId>{1}));
+  EXPECT_EQ(spanOf(g, 3), (std::vector<NodeId>{0}));
+  EXPECT_EQ(spanOf(g, 4), (std::vector<NodeId>{0}));
+  const std::vector<std::pair<NodeId, NodeId>> edges{
+      {0, 1}, {0, 3}, {0, 4}, {1, 2}};
+  EXPECT_EQ(g.edges(), edges);
+
+  // A second finalize() changes nothing, not even the storage.
+  const NodeId* storage = g.neighbors(0).begin();
+  g.finalize();
+  EXPECT_EQ(g.neighbors(0).begin(), storage);
+  EXPECT_EQ(g.edgeCount(), 4u);
+  EXPECT_EQ(g.edges(), edges);
 }
 
 TEST(DualGraph, RejectsNonSubsetReliableEdges) {
