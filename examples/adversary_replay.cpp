@@ -46,8 +46,8 @@ int main() {
   std::size_t crossDeliveries = 0;
   for (const auto& record : experiment.engine().trace().records()) {
     if (record.kind == sim::TraceKind::kRcv) {
-      const auto& inst = experiment.engine().instance(record.instance);
-      if (topology.isUnreliableOnlyEdge(inst.sender, record.node)) {
+      const NodeId sender = experiment.engine().record(record.instance).sender;
+      if (topology.isUnreliableOnlyEdge(sender, record.node)) {
         ++crossDeliveries;
       }
     }

@@ -14,7 +14,7 @@ void BmmbProcess::onAck(mac::Context& ctx, const mac::Packet& packet) {
   AMMB_ASSERT(!queue_.empty());
   AMMB_ASSERT(packet.msgs.size() == 1 && packet.msgs.front() == queue_.front());
   sent_.insert(queue_.front());
-  queue_.pop_front();
+  queue_.erase(queue_.begin());
   maybeSend(ctx);
 }
 

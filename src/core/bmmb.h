@@ -24,9 +24,9 @@
 // flood resumes exactly where the outage cut it (see core/reaction.h).
 #pragma once
 
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/types.h"
 #include "core/reaction.h"
@@ -60,7 +60,7 @@ class BmmbProcess : public mac::Process {
   const std::unordered_set<MsgId>& received() const { return rcvd_; }
 
   /// Messages queued but not yet acknowledged (the paper's `bcastq`).
-  const std::deque<MsgId>& queue() const { return queue_; }
+  const std::vector<MsgId>& queue() const { return queue_; }
 
   /// Messages this node has broadcast and received an ack for (the
   /// `sent` set of Theorem 3.1's analysis).
@@ -75,7 +75,9 @@ class BmmbProcess : public mac::Process {
 
   QueueDiscipline discipline_;
   ReactionSpec reaction_;
-  std::deque<MsgId> queue_;
+  /// A vector, not a deque: it holds at most k messages, and a deque
+  /// allocates a node and a map per process before anything is queued.
+  std::vector<MsgId> queue_;
   std::unordered_set<MsgId> rcvd_;
   std::unordered_set<MsgId> sent_;
   /// Remaining recovery re-enqueues per message (lazily seeded from

@@ -103,19 +103,15 @@ MacEngine::MacEngine(std::optional<graph::TopologyView> owned,
       scheduler_(std::move(scheduler)),
       trace_(traceEnabled, traceMode),
       guard_(*this, view_->n()),
+      seed_(seed),
       schedulerRng_(SeedSequence(seed).childSeed(rngstream::kScheduler, 0)) {
   params_.validate();
   AMMB_REQUIRE(scheduler_ != nullptr, "a scheduler is required");
   AMMB_REQUIRE(factory != nullptr, "a process factory is required");
 
-  const SeedSequence seeds(seed);
   nodes_.reserve(static_cast<std::size_t>(n()));
   for (NodeId v = 0; v < n(); ++v) {
-    NodeState ns{factory(v),
-                 seeds.childRng(rngstream::kNode,
-                                static_cast<std::uint64_t>(v)),
-                 kNoInstance,
-                 {}};
+    NodeState ns{factory(v), nullptr, kNoInstance, {}};
     AMMB_REQUIRE(ns.process != nullptr, "process factory returned null");
     nodes_.push_back(std::move(ns));
   }
@@ -182,10 +178,26 @@ sim::RunStatus MacEngine::run(Time timeLimit, std::uint64_t maxEvents) {
   return queue_.run(timeLimit, maxEvents);
 }
 
-const Instance& MacEngine::instance(InstanceId id) const {
-  AMMB_REQUIRE(id >= 0 && id < static_cast<InstanceId>(instances_.size()),
+const InstanceRecord& MacEngine::record(InstanceId id) const {
+  AMMB_REQUIRE(id >= 0 && id < static_cast<InstanceId>(records_.size()),
                "unknown instance id");
-  return instances_[static_cast<std::size_t>(id)];
+  return records_[static_cast<std::size_t>(id)];
+}
+
+const Instance& MacEngine::instance(InstanceId id) const {
+  record(id);  // range check
+  const std::int32_t slot = slotOf_[static_cast<std::size_t>(id)];
+  AMMB_REQUIRE(slot != kReleased,
+               "instance " + std::to_string(id) +
+                   " has settled; its body is back in the pool (read "
+                   "record(id) or the trace instead)");
+  return pool_[static_cast<std::size_t>(slot)];
+}
+
+NodeId MacEngine::seededNodeRngs() const {
+  return static_cast<NodeId>(
+      std::count_if(nodes_.begin(), nodes_.end(),
+                    [](const NodeState& ns) { return ns.rng != nullptr; }));
 }
 
 Process& MacEngine::processAt(NodeId node) { return *state(node).process; }
@@ -211,9 +223,22 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
                "packet exceeds the per-broadcast message capacity");
   packet.sender = node;
 
-  const InstanceId id = static_cast<InstanceId>(instances_.size());
-  instances_.push_back(Instance{});
-  Instance& inst = instances_.back();
+  const InstanceId id = static_cast<InstanceId>(records_.size());
+  InstanceRecord rec;
+  rec.bcastAt = now();
+  rec.sender = node;
+  records_.push_back(rec);
+  std::int32_t slot = 0;
+  if (freeSlots_.empty()) {
+    slot = static_cast<std::int32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+  }
+  slotOf_.push_back(slot);
+  Instance& inst = pool_[static_cast<std::size_t>(slot)];
+  AMMB_DCHECK(inst.id == kNoInstance);
   inst.id = id;
   inst.sender = node;
   inst.packet = std::move(packet);
@@ -224,7 +249,7 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
 
   const DeliveryPlan plan = scheduler_->planBcast(inst);
   if (validatePlans_) validatePlan(inst, plan);
-  inst.plannedAck = plan.ackAt;
+  records_[static_cast<std::size_t>(id)].plannedAck = plan.ackAt;
   const graph::Graph::Span gNbrs = dual_->g().neighbors(node);
   inst.pendingGDeliveries = static_cast<int>(gNbrs.size());
   // Static views skip the per-instance set: the countdown plus an
@@ -245,7 +270,7 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
     state(j).addLive(id);
   }
   // The new instance changes the need set of the sender's G-neighbors.
-  guard_.onBcast(inst);
+  guard_.onBcast(id);
   for (NodeId j : gNbrs) guard_.recompute(j);
 }
 
@@ -288,12 +313,12 @@ void MacEngine::apiAbort(NodeId node) {
   NodeState& ns = state(node);
   AMMB_REQUIRE(ns.current != kNoInstance,
                "abort requires a broadcast in progress");
-  Instance& inst = instances_[static_cast<std::size_t>(ns.current)];
-
-  inst.terminated = true;
-  inst.aborted = true;
-  inst.termAt = now();
-  trace_.add({now(), sim::TraceKind::kAbort, node, inst.id, kNoMsg});
+  const InstanceId id = ns.current;
+  Instance& inst = body(id);
+  InstanceRecord& rec = records_[static_cast<std::size_t>(id)];
+  rec.aborted = true;
+  rec.termAt = now();
+  trace_.add({now(), sim::TraceKind::kAbort, node, id, kNoMsg});
   ++stats_.aborts;
 
   queue_.cancel(inst.ackEvent);
@@ -309,7 +334,7 @@ void MacEngine::apiAbort(NodeId node) {
                                }),
                 pending.end());
   finishInstance(inst);
-  releaseIfSettled(inst);
+  releaseIfSettled(id);
 }
 
 void MacEngine::requireEnhanced(const char* api) const {
@@ -319,7 +344,14 @@ void MacEngine::requireEnhanced(const char* api) const {
                    "model");
 }
 
-Rng& MacEngine::nodeRng(NodeId node) { return state(node).rng; }
+Rng& MacEngine::nodeRng(NodeId node) {
+  NodeState& ns = state(node);
+  if (ns.rng == nullptr) {
+    ns.rng = std::make_unique<Rng>(SeedSequence(seed_).childSeed(
+        rngstream::kNode, static_cast<std::uint64_t>(node)));
+  }
+  return *ns.rng;
+}
 
 // --- internal machinery -----------------------------------------------------
 
@@ -378,7 +410,7 @@ void MacEngine::validatePlan(const Instance& instance,
 }
 
 void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
-  Instance& inst = instances_[static_cast<std::size_t>(id)];
+  Instance& inst = body(id);
   AMMB_ASSERT(!inst.hasDeliveredTo(receiver));
 
   // Drop the planned event if the guard preempted it.
@@ -406,38 +438,40 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
 }
 
 void MacEngine::onDeliveryEvent(InstanceId id, NodeId receiver) {
-  Instance& inst = instances_[static_cast<std::size_t>(id)];
+  Instance& inst = body(id);
   inst.removePending(receiver);
   // Skip if the guard got there first, or past an abort's grace window.
+  const InstanceRecord& rec = records_[static_cast<std::size_t>(id)];
   if (!inst.hasDeliveredTo(receiver) &&
-      !(inst.terminated && now() > inst.termAt + params_.epsAbort)) {
+      !(rec.terminated() && now() > rec.termAt + params_.epsAbort)) {
     performDelivery(id, receiver, /*forced=*/false);
   }
-  // Index again: the receive callback may have grown instances_.
-  releaseIfSettled(instances_[static_cast<std::size_t>(id)]);
+  releaseIfSettled(id);
 }
 
 void MacEngine::onAckEvent(InstanceId id) {
-  Instance& inst = instances_[static_cast<std::size_t>(id)];
-  if (inst.terminated) return;  // aborted; event race
+  InstanceRecord& rec = records_[static_cast<std::size_t>(id)];
+  if (rec.terminated()) return;  // aborted; event race
+  Instance& inst = body(id);
   // With validation off an (intentionally broken) plan may ack while
   // G-deliveries are still missing; the offline checker flags it.
   AMMB_ASSERT(inst.pendingGDeliveries == 0 || !validatePlans_);
-  inst.terminated = true;
-  inst.termAt = now();
+  rec.termAt = now();
   trace_.add({now(), sim::TraceKind::kAck, inst.sender, id, kNoMsg});
   ++stats_.acks;
   finishInstance(inst);
-  releaseIfSettled(inst);
 
   Context ctx(*this, inst.sender);
   state(inst.sender).process->onAck(ctx, inst.packet);
+  // Released only now, since onAck reads the packet.  The pool keeps
+  // `inst` valid while onAck bcasts again (records_ may move).
+  releaseIfSettled(id);
 }
 
-void MacEngine::finishInstance(Instance& inst) {
+void MacEngine::finishInstance(const Instance& inst) {
   NodeState& sender = state(inst.sender);
   if (sender.current == inst.id) sender.current = kNoInstance;
-  guard_.onTerminate(inst);
+  guard_.onTerminate(inst.id);
 
   // The instance no longer contends anywhere; coverage intervals it
   // provided are now capped at termAt, so re-evaluate the neighborhood.
@@ -459,12 +493,24 @@ void MacEngine::finishInstance(Instance& inst) {
   }
 }
 
-void MacEngine::releaseIfSettled(Instance& inst) {
-  // No delivery can happen after this point, so neither vector's
-  // contents matter any more.
-  if (!inst.terminated || !inst.pending.empty()) return;
-  std::vector<Instance::PendingDelivery>().swap(inst.pending);
-  std::vector<NodeId>().swap(inst.requiredG);
+Instance& MacEngine::body(InstanceId id) {
+  const std::int32_t slot = slotOf_[static_cast<std::size_t>(id)];
+  AMMB_DCHECK(slot != kReleased);
+  Instance& inst = pool_[static_cast<std::size_t>(slot)];
+  AMMB_DCHECK(inst.id == id);
+  return inst;
+}
+
+void MacEngine::releaseIfSettled(InstanceId id) {
+  // No delivery can happen after this point, so nothing in the body
+  // matters any more; the record keeps the instance's summary.
+  if (!records_[static_cast<std::size_t>(id)].terminated()) return;
+  Instance& inst = body(id);
+  if (!inst.pending.empty()) return;
+  inst.reset();
+  std::int32_t& slot = slotOf_[static_cast<std::size_t>(id)];
+  freeSlots_.push_back(slot);
+  slot = kReleased;
 }
 
 void MacEngine::onEpochBoundary(int e) {
@@ -474,13 +520,20 @@ void MacEngine::onEpochBoundary(int e) {
   trace_.add({now(), sim::TraceKind::kEpoch, kNoNode, kNoInstance,
               static_cast<MsgId>(e)});
 
-  // Reconcile every in-flight instance with the new topology.  A
-  // vanished E'-link voids its scheduled delivery; a vanished E-link
-  // (or a crashed endpoint — crashed nodes have empty adjacency) also
-  // voids the acknowledgment guarantee for that receiver.  The ack
-  // itself always fires as planned: a crashed sender simply stops
-  // delivering (its radio is down), it does not lose its automaton.
-  for (Instance& inst : instances_) {
+  // Reconcile every in-flight instance with the new topology: exactly
+  // those holding a body, visited in id order.  A vanished E'-link
+  // voids its scheduled delivery; a vanished E-link (or a crashed
+  // endpoint — crashed nodes have empty adjacency) also voids the
+  // acknowledgment guarantee for that receiver.  The ack itself always
+  // fires as planned: a crashed sender simply stops delivering (its
+  // radio is down), it does not lose its automaton.
+  std::vector<InstanceId> held;
+  for (const Instance& inst : pool_) {
+    if (inst.id != kNoInstance) held.push_back(inst.id);
+  }
+  std::sort(held.begin(), held.end());
+  for (InstanceId id : held) {
+    Instance& inst = body(id);
     const NodeId s = inst.sender;
     // Scrub vanished-link deliveries even for aborted instances: their
     // epsAbort grace window may still hold scheduled events.  A
@@ -495,7 +548,7 @@ void MacEngine::onEpochBoundary(int e) {
       pending.pop_back();
       dropped = true;
     }
-    if (!inst.terminated) {
+    if (!records_[static_cast<std::size_t>(id)].terminated()) {
       std::vector<NodeId>& req = inst.requiredG;
       req.erase(std::remove_if(
                     req.begin(), req.end(),
@@ -503,7 +556,7 @@ void MacEngine::onEpochBoundary(int e) {
                 req.end());
       inst.pendingGDeliveries = static_cast<int>(req.size());
     }
-    if (dropped) releaseIfSettled(inst);
+    if (dropped) releaseIfSettled(id);
   }
 
   // Rebuild the live-instance lists and the guard's need windows from
@@ -513,12 +566,13 @@ void MacEngine::onEpochBoundary(int e) {
     ns.liveNear.clear();
   }
   guard_.clearNeeds();
-  for (const Instance& inst : instances_) {
-    if (inst.terminated) continue;
-    for (NodeId j : dual_->gPrime().neighbors(inst.sender)) {
-      state(j).addLive(inst.id);
+  for (InstanceId id : held) {
+    const InstanceRecord& rec = records_[static_cast<std::size_t>(id)];
+    if (rec.terminated()) continue;
+    for (NodeId j : dual_->gPrime().neighbors(rec.sender)) {
+      state(j).addLive(id);
     }
-    guard_.addNeeds(inst);
+    guard_.addNeeds(id);
   }
 
   // Need sets may have shrunk (links gone) or gained a later live-since
@@ -574,8 +628,8 @@ void MacEngine::onEpochBoundary(int e) {
 void MacEngine::forceProgressDelivery(NodeId receiver) {
   std::vector<InstanceId> candidates;
   for (InstanceId id : state(receiver).liveNear) {
-    const Instance& inst = instances_[static_cast<std::size_t>(id)];
-    if (!inst.terminated && !inst.hasDeliveredTo(receiver)) {
+    if (!records_[static_cast<std::size_t>(id)].terminated() &&
+        !body(id).hasDeliveredTo(receiver)) {
       candidates.push_back(id);
     }
   }

@@ -17,6 +17,7 @@
 // seed), executions are bit-for-bit reproducible.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -174,9 +175,22 @@ class MacEngine : public MacLayer {
   const EngineStats& stats() const { return stats_; }
   NodeId n() const override { return view_->n(); }
 
-  /// All instances ever created, indexed by InstanceId.
-  const std::vector<Instance>& instances() const { return instances_; }
+  /// The record of every instance ever created, indexed by InstanceId.
+  const std::vector<InstanceRecord>& instances() const { return records_; }
+  /// The record of instance `id` (settled or not).
+  const InstanceRecord& record(InstanceId id) const;
+  /// The body of instance `id`.  Throws once the instance has settled
+  /// (terminated with nothing pending): its body is back in the pool,
+  /// and only record(id) and the trace still describe it.
   const Instance& instance(InstanceId id) const;
+  /// Bodies the pool has allocated, i.e. the most ever held at once.
+  /// In the standard model with plan validation on, that is at most
+  /// n + 1: one per node's unterminated bcast, plus a body still held
+  /// during its own onAck.  In the enhanced model an aborted instance
+  /// also keeps its body while grace deliveries are pending.
+  std::size_t poolSize() const { return pool_.size(); }
+  /// Nodes whose RNG stream has been seeded (on first Context::rng()).
+  NodeId seededNodeRngs() const;
 
   /// The protocol automaton at `node` (for harness inspection).
   Process& processAt(NodeId node);
@@ -194,7 +208,11 @@ class MacEngine : public MacLayer {
 
   struct NodeState {
     std::unique_ptr<Process> process;
-    Rng rng;
+    /// Seeded on the node's first Context::rng() call from the same
+    /// per-node stream, so draws are unchanged and a protocol that never
+    /// draws costs no engine state (a std::optional would still embed
+    /// the 2.5 KB engine in every node).
+    std::unique_ptr<Rng> rng;
     InstanceId current = kNoInstance;  ///< outstanding bcast, if any
     std::vector<InstanceId> liveNear;  ///< live instances from E' nbrs
 
@@ -231,10 +249,12 @@ class MacEngine : public MacLayer {
   void performDelivery(InstanceId id, NodeId receiver, bool forced);
   void onDeliveryEvent(InstanceId id, NodeId receiver);
   void onAckEvent(InstanceId id);
-  void finishInstance(Instance& instance);
-  /// Frees a terminated instance's `pending` and `requiredG` storage
-  /// once no delivery of it is pending any more.
-  void releaseIfSettled(Instance& instance);
+  void finishInstance(const Instance& instance);
+  /// The held body of `id` (debug builds check it was not released).
+  Instance& body(InstanceId id);
+  /// Returns `id`'s body to the pool once the instance is terminated
+  /// and no delivery of it is pending any more.
+  void releaseIfSettled(InstanceId id);
   void forceProgressDelivery(NodeId receiver);
   void onEpochBoundary(int e);
 
@@ -260,8 +280,16 @@ class MacEngine : public MacLayer {
   sim::Trace trace_;
   EngineStats stats_;
   std::vector<NodeState> nodes_;
-  std::vector<Instance> instances_;
+  std::vector<InstanceRecord> records_;
+  /// Pool slot of each id's body; kReleased once the instance settled.
+  std::vector<std::int32_t> slotOf_;
+  static constexpr std::int32_t kReleased = -1;
+  /// Instance bodies.  A deque keeps references valid as it grows: a
+  /// receive callback may bcast while its instance's body is in use.
+  std::deque<Instance> pool_;
+  std::vector<std::int32_t> freeSlots_;
   ProgressGuard guard_;
+  std::uint64_t seed_;
   Rng schedulerRng_;
   bool validatePlans_ = true;
   bool epochNotifications_ = true;

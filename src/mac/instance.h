@@ -2,15 +2,24 @@
 //
 // A message instance (Section 3.2.1) is one bcast event plus every rcv
 // and the terminating ack/abort the cause function maps back to it.
-// The engine materializes instances as the records below; schedulers
-// receive a const view when planning.
+// The engine keeps each instance in two parts.  An InstanceRecord (32
+// bytes) holds the timing summary of every id ever assigned.  An
+// Instance body holds what only an unsettled instance needs: the
+// packet, the delivered set, pending deliveries and the ack gate.  At
+// most one broadcast per node is unterminated at a time, so bodies come
+// from a pool that stays near n in size however many instances a run
+// creates; a body returns to the pool once its instance has settled
+// (terminated, nothing pending).  Schedulers receive a const view of
+// the body when planning.
 //
 // All bookkeeping is flat vectors: per-broadcast hash containers
 // (delivered-set, pending-index) used to dominate allocation in
 // delivery-heavy runs (one rehashing table per bcast), and neighborhood
 // fan-outs are small enough that a linear scan / binary search beats a
 // hash probe anyway.  Capacities are reserved from the sender's degree
-// at bcast time, so steady state performs no per-delivery allocation.
+// at bcast time and kept when a body returns to the pool, so steady
+// state performs no per-delivery allocation and reuses, rather than
+// allocates, each bcast's vectors.
 #pragma once
 
 #include <algorithm>
@@ -24,11 +33,8 @@
 
 namespace ammb::mac {
 
-/// One acknowledged-local-broadcast instance and its bookkeeping.
-struct Instance {
-  InstanceId id = kNoInstance;
-  NodeId sender = kNoNode;
-  Packet packet;
+/// The summary the engine keeps for every instance id, settled or not.
+struct InstanceRecord {
   Time bcastAt = 0;
 
   /// Ack time chosen by the scheduler's plan (may be preempted by an
@@ -37,8 +43,20 @@ struct Instance {
 
   /// Actual termination (ack or abort) once it happened.
   Time termAt = kTimeNever;
-  bool terminated = false;
+  NodeId sender = kNoNode;
   bool aborted = false;
+
+  bool terminated() const { return termAt != kTimeNever; }
+};
+static_assert(sizeof(InstanceRecord) == 32,
+              "kept for every instance of a run, so kept small");
+
+/// The body of one unsettled acknowledged-local-broadcast instance.
+struct Instance {
+  InstanceId id = kNoInstance;
+  NodeId sender = kNoNode;
+  Packet packet;
+  Time bcastAt = 0;
 
   /// Receivers in delivery order (the cause-function image).
   std::vector<NodeId> deliveredTo;
@@ -47,9 +65,7 @@ struct Instance {
   /// array; removal is a swap-remove, so iteration order is the
   /// deterministic insertion/removal history.  Lookups are linear:
   /// the array holds at most the sender's E' degree and is usually
-  /// near-empty by the time anything probes it.  The engine frees its
-  /// storage, and requiredG's, once the instance is terminated and
-  /// nothing is pending.
+  /// near-empty by the time anything probes it.
   struct PendingDelivery {
     NodeId target = kNoNode;
     Time at = 0;
@@ -128,6 +144,21 @@ struct Instance {
     pending.reserve(planned);
     deliveredTo.reserve(planned);
     deliveredSorted_.reserve(planned);
+  }
+
+  /// Empties the body for reuse, keeping every vector's capacity.  The
+  /// cleared id and sender make a stale read of a pooled body visible.
+  void reset() {
+    id = kNoInstance;
+    sender = kNoNode;
+    packet = Packet{};
+    bcastAt = 0;
+    deliveredTo.clear();
+    pending.clear();
+    pendingGDeliveries = 0;
+    requiredG.clear();
+    ackEvent = 0;
+    deliveredSorted_.clear();
   }
 
  private:

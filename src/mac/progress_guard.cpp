@@ -10,25 +10,26 @@ namespace ammb::mac {
 ProgressGuard::ProgressGuard(MacEngine& engine, NodeId n)
     : engine_(engine), states_(static_cast<std::size_t>(n)) {}
 
-void ProgressGuard::onBcast(const Instance& inst) {
-  AMMB_ASSERT(inst.id == static_cast<InstanceId>(termAt_.size()));
+void ProgressGuard::onBcast(InstanceId id) {
+  AMMB_ASSERT(id == static_cast<InstanceId>(termAt_.size()));
   termAt_.push_back(kTimeNever);
-  addNeeds(inst);
+  addNeeds(id);
 }
 
-void ProgressGuard::addNeeds(const Instance& inst) {
+void ProgressGuard::addNeeds(InstanceId id) {
+  const InstanceRecord& rec = engine_.records_[static_cast<std::size_t>(id)];
   const graph::TopologyView& view = *engine_.view_;
-  const Time hi = inst.plannedAck - engine_.params().fprog - 1;
-  for (NodeId j : engine_.dual_->g().neighbors(inst.sender)) {
+  const Time hi = rec.plannedAck - engine_.params().fprog - 1;
+  for (NodeId j : engine_.dual_->g().neighbors(rec.sender)) {
     // Windows are quantified over the link's continuous live span: an
     // E-edge that came up after the bcast obliges the model only from
     // then on (the offline checker applies the same rule per span).  A
     // single-epoch view's links are live since t = 0.
     const Time liveSince =
-        view.dynamic() ? view.gEdgeLiveSince(engine_.epoch_, inst.sender, j)
+        view.dynamic() ? view.gEdgeLiveSince(engine_.epoch_, rec.sender, j)
                        : 0;
     if (liveSince == kTimeNever) continue;
-    const Time lo = std::max(inst.bcastAt, liveSince);
+    const Time lo = std::max(rec.bcastAt, liveSince);
     if (hi < lo) continue;
     std::vector<Need>& needs = states_[static_cast<std::size_t>(j)].needs;
     // At bcast lo == now(), so this appends; only the epoch rebuild
@@ -36,24 +37,24 @@ void ProgressGuard::addNeeds(const Instance& inst) {
     const auto at = std::upper_bound(
         needs.begin(), needs.end(), lo,
         [](Time x, const Need& nd) { return x < nd.lo; });
-    needs.insert(at, Need{inst.id, lo, hi});
+    needs.insert(at, Need{id, lo, hi});
   }
 }
 
-void ProgressGuard::onTerminate(const Instance& inst) {
-  termAt_[static_cast<std::size_t>(inst.id)] = inst.termAt;
+void ProgressGuard::onTerminate(InstanceId id) {
+  const InstanceRecord& rec = engine_.records_[static_cast<std::size_t>(id)];
+  termAt_[static_cast<std::size_t>(id)] = rec.termAt;
   while (oldestLive_ < static_cast<InstanceId>(termAt_.size()) &&
          termAt_[static_cast<std::size_t>(oldestLive_)] != kTimeNever) {
     ++oldestLive_;
   }
   // The windows were added at the sender's G-neighbors of the current
   // epoch (a boundary re-adds them), so that span holds all of them.
-  for (NodeId j : engine_.dual_->g().neighbors(inst.sender)) {
+  for (NodeId j : engine_.dual_->g().neighbors(rec.sender)) {
     std::vector<Need>& needs = states_[static_cast<std::size_t>(j)].needs;
     const auto it =
-        std::find_if(needs.begin(), needs.end(), [&inst](const Need& nd) {
-          return nd.instance == inst.id;
-        });
+        std::find_if(needs.begin(), needs.end(),
+                     [id](const Need& nd) { return nd.instance == id; });
     if (it != needs.end()) needs.erase(it);
   }
 }
@@ -163,7 +164,7 @@ void ProgressGuard::pruneCovers(NodeId receiver) {
   if (oldestLive_ < static_cast<InstanceId>(termAt_.size())) {
     floor = std::min(
         floor,
-        engine_.instances_[static_cast<std::size_t>(oldestLive_)].bcastAt);
+        engine_.records_[static_cast<std::size_t>(oldestLive_)].bcastAt);
   }
   // In-place compaction (order-preserving, allocation-free); the
   // retained capacity is unobservable in results.

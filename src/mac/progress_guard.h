@@ -32,7 +32,7 @@
 // every window already held, so appending keeps each receiver's list
 // sorted by start; the rebuild inserts in order.  Termination times
 // live in one dense array indexed by instance id (kTimeNever while
-// live), so reading a cover's end never touches an Instance record.
+// live), so reading a cover's end never touches an InstanceRecord.
 // One evaluation is then a single merged pass over the sorted need
 // windows and the receive-ordered covers: O(live windows + covers).
 //
@@ -70,28 +70,29 @@
 namespace ammb::mac {
 
 class MacEngine;
-struct Instance;
 
 /// Per-receiver progress-bound bookkeeping; owned by the engine.
 class ProgressGuard {
  public:
   ProgressGuard(MacEngine& engine, NodeId n);
 
-  /// Registers a freshly planned instance: its (live) termination slot,
-  /// and a need window at each current G-neighbor of its sender.
-  void onBcast(const Instance& inst);
+  /// Registers freshly planned instance `id`: its (live) termination
+  /// slot, and a need window at each current G-neighbor of its sender.
+  void onBcast(InstanceId id);
 
-  /// Records `inst`'s termination (inst.termAt) and drops its need
-  /// windows.  Runs before the neighborhood's deadlines are recomputed.
-  void onTerminate(const Instance& inst);
+  /// Records instance `id`'s termination (its record's termAt) and
+  /// drops its need windows.  Runs before the neighborhood's deadlines
+  /// are recomputed.
+  void onTerminate(InstanceId id);
 
   /// Epoch boundary: drops every cached need window.  The engine then
   /// re-adds the windows of each live instance with addNeeds(), under
   /// the new epoch's adjacency and live-since instants.
   void clearNeeds();
 
-  /// Adds `inst`'s need windows at its sender's current G-neighbors.
-  void addNeeds(const Instance& inst);
+  /// Adds instance `id`'s need windows at its sender's current
+  /// G-neighbors.
+  void addNeeds(InstanceId id);
 
   /// Records a receive event at `receiver` caused by `instance`.
   void onReceive(NodeId receiver, InstanceId instance, Time at);

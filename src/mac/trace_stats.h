@@ -27,7 +27,7 @@ std::vector<MessageLatency> messageLatencies(const sim::Trace& trace, int k);
 
 /// Count of receive events that crossed unreliable (E' \ E) links.
 /// `instanceSender(id)` resolves an instance to its broadcaster —
-/// callers pass a lambda over MacEngine::instance.
+/// callers pass a lambda returning MacEngine::record(id).sender.
 template <typename SenderFn>
 std::size_t unreliableDeliveryCount(const graph::DualGraph& topology,
                                     const sim::Trace& trace,

@@ -373,14 +373,23 @@ TEST(DynamicsEngine, BoundaryScrubKeepsPinnedTraces) {
     const mac::MacEngine& engine = experiment.engine();
     EXPECT_TRUE(mac::checkTrace(view, engine.params(), engine.trace()).ok);
 
+    // Settled instances keep only a record, so receivers come from the
+    // trace.
+    const std::vector<mac::InstanceRecord>& records = engine.instances();
+    std::vector<std::vector<NodeId>> receivers(records.size());
+    for (const auto& rec : engine.trace().records()) {
+      if (rec.kind != sim::TraceKind::kRcv) continue;
+      receivers[static_cast<std::size_t>(rec.instance)].push_back(rec.node);
+    }
     int shrunkGates = 0;
-    for (const mac::Instance& inst : engine.instances()) {
-      if (!inst.terminated || inst.aborted) continue;
+    for (std::size_t id = 0; id < records.size(); ++id) {
+      const mac::InstanceRecord& inst = records[id];
+      if (!inst.terminated() || inst.aborted) continue;
       const int e = view.epochAt(inst.bcastAt);
       if (view.epochStart(e) == inst.bcastAt) continue;
+      const std::vector<NodeId>& got = receivers[id];
       for (NodeId j : view.dualAt(e).g().neighbors(inst.sender)) {
-        if (std::find(inst.deliveredTo.begin(), inst.deliveredTo.end(), j) ==
-            inst.deliveredTo.end()) {
+        if (std::find(got.begin(), got.end(), j) == got.end()) {
           ++shrunkGates;
           break;
         }

@@ -136,10 +136,13 @@ TEST(LowerBound, NetworkCExecutionUsesUselessCrossDeliveries) {
   core::Experiment experiment(topo, core::bmmbProtocol(), w, config);
   ASSERT_TRUE(experiment.run().solved);
   // Count deliveries over unreliable edges: the schedule lives on them.
+  const mac::MacEngine& engine = experiment.engine();
   std::size_t cross = 0;
-  for (const auto& inst : experiment.engine().instances()) {
-    for (NodeId r : inst.deliveredTo) {
-      if (topo.isUnreliableOnlyEdge(inst.sender, r)) ++cross;
+  for (const auto& rec : engine.trace().records()) {
+    if (rec.kind != sim::TraceKind::kRcv) continue;
+    if (topo.isUnreliableOnlyEdge(engine.record(rec.instance).sender,
+                                  rec.node)) {
+      ++cross;
     }
   }
   EXPECT_GE(cross, static_cast<std::size_t>(D));

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "check/golden.h"
+#include "core/bmmb.h"
 #include "graph/generators.h"
 #include "mac/engine.h"
 #include "mac/schedulers.h"
@@ -16,6 +17,7 @@ namespace {
 
 namespace gen = graph::gen;
 using testutil::enhParams;
+using testutil::receiversOf;
 using testutil::stdParams;
 
 /// A process that broadcasts `count` data packets back to back.
@@ -213,7 +215,7 @@ TEST(MacEngine, AckArrivesAfterAllGNeighborsReceive) {
   EXPECT_TRUE(check.ok) << check.summary();
   EXPECT_EQ(engine.stats().acks, 1u);
   EXPECT_EQ(engine.stats().rcvs, 5u);
-  EXPECT_EQ(engine.instance(0).termAt, stdParams().fack);
+  EXPECT_EQ(engine.record(0).termAt, stdParams().fack);
 }
 
 TEST(MacEngine, ProgressGuardForcesDeliveryUnderAdversary) {
@@ -229,8 +231,7 @@ TEST(MacEngine, ProgressGuardForcesDeliveryUnderAdversary) {
                    1);
   engine.run();
   EXPECT_EQ(engine.stats().forcedRcvs, 1u);
-  const auto& inst = engine.instance(0);
-  ASSERT_EQ(inst.deliveredTo.size(), 1u);
+  ASSERT_EQ(receiversOf(engine.trace(), 0).size(), 1u);
   // Forced at the progress deadline: bcast(0) + fprog.
   const auto& recs = engine.trace().records();
   for (const auto& rec : recs) {
@@ -391,8 +392,7 @@ TEST(MacEngine, UnreliableDeliveryReachesGPrimeOnlyNeighbors) {
                    },
                    1);
   engine.run();
-  const auto& inst = engine.instance(0);
-  EXPECT_EQ(inst.deliveredTo.size(),
+  EXPECT_EQ(receiversOf(engine.trace(), 0).size(),
             topo.gPrime().neighbors(0).size());
 }
 
@@ -425,7 +425,7 @@ TEST(MacEngine, AckInFlightAcrossEpochBoundary) {
   EXPECT_EQ(engine.stats().bcasts, 2u);
   EXPECT_EQ(engine.stats().acks, 2u);
   EXPECT_EQ(engine.stats().rcvs, 0u);
-  EXPECT_EQ(engine.instance(0).termAt, 32);
+  EXPECT_EQ(engine.record(0).termAt, 32);
 
   // The epoch transition is on the trace, and the epoch-aware checker
   // is green while the static base-topology checker demands the rcv
@@ -437,6 +437,86 @@ TEST(MacEngine, AckInFlightAcrossEpochBoundary) {
   EXPECT_TRUE(sawEpoch);
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
   EXPECT_FALSE(checkTrace(base, engine.params(), engine.trace()).ok);
+}
+
+// --- instance storage ---------------------------------------------------------
+
+// At most one broadcast per node is unterminated at a time, so the body
+// pool stays within n + 1 however many instances a run creates.  The
+// extra body is a node's old one, still held during its own onAck while
+// the node bcasts again.  A settled instance keeps only its record.
+TEST(MacEngine, BodyPoolStaysWithinNPlusOneAndRecordsOutliveBodies) {
+  constexpr NodeId kN = 16;
+  constexpr MsgId kK = 64;
+  Rng rng(11);
+  const auto topo = gen::withArbitraryNoise(gen::grid(4, 4), 6, rng);
+  core::BmmbSuite suite;
+  MacEngine engine(topo, stdParams(), std::make_unique<RandomScheduler>(),
+                   suite.factory(), 3);
+  engine.setOracle(&suite);
+  for (MsgId m = 0; m < kK; ++m) engine.injectArriveAt(m % kN, m, 0);
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+
+  // Every node broadcasts every message once.
+  const std::vector<InstanceRecord>& records = engine.instances();
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kN) * kK);
+  EXPECT_LE(engine.poolSize(), static_cast<std::size_t>(kN) + 1);
+  // BMMB FIFO never draws from a node's stream, so none was seeded.
+  EXPECT_EQ(engine.seededNodeRngs(), 0);
+
+  // Each record still matches its instance's bcast and ack on the
+  // trace; the body is gone.  Acks fire as planned in the standard
+  // model.
+  std::vector<InstanceRecord> expected(records.size());
+  for (const auto& rec : engine.trace().records()) {
+    const bool bcast = rec.kind == sim::TraceKind::kBcast;
+    if (!bcast && rec.kind != sim::TraceKind::kAck) continue;
+    InstanceRecord& e = expected[static_cast<std::size_t>(rec.instance)];
+    if (bcast) {
+      e.sender = rec.node;
+      e.bcastAt = rec.t;
+    } else {
+      e.plannedAck = rec.t;
+      e.termAt = rec.t;
+    }
+  }
+  for (std::size_t id = 0; id < records.size(); ++id) {
+    SCOPED_TRACE(testing::Message() << "instance " << id);
+    const InstanceRecord& got = engine.record(static_cast<InstanceId>(id));
+    EXPECT_EQ(&got, &records[id]);
+    EXPECT_EQ(got.sender, expected[id].sender);
+    EXPECT_EQ(got.bcastAt, expected[id].bcastAt);
+    EXPECT_EQ(got.plannedAck, expected[id].plannedAck);
+    EXPECT_EQ(got.termAt, expected[id].termAt);
+    EXPECT_FALSE(got.aborted);
+    EXPECT_THROW(engine.instance(static_cast<InstanceId>(id)), Error);
+  }
+  EXPECT_THROW(engine.record(static_cast<InstanceId>(records.size())), Error);
+}
+
+// A node's stream is seeded on its first Context::rng() call, from the
+// same per-node seed as if it had been seeded up front.
+TEST(MacEngine, NodeRngIsSeededOnFirstUseFromItsStream) {
+  class DrawOnce : public Process {
+   public:
+    explicit DrawOnce(std::uint64_t& out) : out_(out) {}
+    void onWake(Context& ctx) override {
+      if (ctx.id() == 2) out_ = ctx.rng().randomBits(64);
+    }
+
+   private:
+    std::uint64_t& out_;
+  };
+  const auto topo = gen::identityDual(gen::line(4));
+  std::uint64_t drawn = 0;
+  MacEngine engine(
+      topo, stdParams(), std::make_unique<FastScheduler>(),
+      [&drawn](NodeId) { return std::make_unique<DrawOnce>(drawn); }, 7);
+  EXPECT_EQ(engine.seededNodeRngs(), 0);
+  engine.run();
+  EXPECT_EQ(engine.seededNodeRngs(), 1);
+  EXPECT_EQ(drawn,
+            SeedSequence(7).childRng(rngstream::kNode, 2).randomBits(64));
 }
 
 // The benchmark harness still hands MacEngine an (ignored) kernel
@@ -554,11 +634,11 @@ TEST(EpochScrub, VanishedUnreliableLinkCancelsOnlyItsDelivery) {
   EXPECT_EQ(engine.liveInstancesNear(1), (std::vector<InstanceId>{0}));
 
   EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
-  EXPECT_EQ(inst.deliveredTo, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(receiversOf(engine.trace(), 0), (std::vector<NodeId>{1, 2}));
   EXPECT_EQ(engine.stats().rcvs, 2u);
   EXPECT_EQ(engine.stats().forcedRcvs, 0u);
   EXPECT_EQ(engine.stats().acks, 1u);
-  EXPECT_EQ(inst.termAt, 30);
+  EXPECT_EQ(engine.record(0).termAt, 30);
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
 }
 
@@ -576,11 +656,14 @@ TEST(EpochScrub, VanishedReliableLinkLeavesTheAckGate) {
   EXPECT_EQ(inst.requiredG, (std::vector<NodeId>{1, 3}));
   EXPECT_EQ(inst.pendingGDeliveries, 2);
 
+  // Both surviving deliveries have fired one tick before the ack.
+  engine.run(29);
+  EXPECT_EQ(inst.deliveredTo, (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(inst.pendingGDeliveries, 0);
+
   // The ack fires with node 2 never served: the engine asserts the
   // gate is empty at the ack, so a stale gate would throw here.
   EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
-  EXPECT_EQ(inst.deliveredTo, (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(inst.pendingGDeliveries, 0);
   EXPECT_EQ(engine.stats().acks, 1u);
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
   EXPECT_FALSE(checkTrace(base, engine.params(), engine.trace()).ok);
@@ -604,8 +687,9 @@ TEST(EpochScrub, SurvivingEntriesKeepTheSwapRemoveLayout) {
   EXPECT_EQ(inst.requiredG, (std::vector<NodeId>{2, 4}));
 
   engine.run();
-  // Surviving deliveries still fire at their planned times.
-  EXPECT_EQ(inst.deliveredTo, (std::vector<NodeId>{2, 4}));
+  // Surviving deliveries still fire at their planned times.  The body
+  // `inst` referred to is back in the pool, so read the trace.
+  EXPECT_EQ(receiversOf(engine.trace(), 0), (std::vector<NodeId>{2, 4}));
   std::vector<Time> rcvTimes;
   for (const auto& rec : engine.trace().records()) {
     if (rec.kind == sim::TraceKind::kRcv) rcvTimes.push_back(rec.t);
@@ -615,41 +699,62 @@ TEST(EpochScrub, SurvivingEntriesKeepTheSwapRemoveLayout) {
 }
 
 // An aborted instance keeps the deliveries due within epsAbort of the
-// abort.  When the boundary scrubs the last of them, the instance is
-// settled and its per-instance storage is released on the spot.
+// abort, and its body until the last of them is gone.  Node 0 aborts
+// two instances.  The boundary scrubs the first one's last grace
+// delivery, which settles it: its body returns to the pool on the spot.
+// The second one's grace delivery fires, and it is released at that
+// tick.
 TEST(EpochScrub, AbortGraceDeliveryOnVanishedLinkIsScrubbedAndReleased) {
-  const auto base = gen::identityDual(gen::line(2));
+  const auto base = hub(2, 0);
   const auto view = withBoundary(base, 6, {edgeDown(0, 1)});
-  class AbortAt4 : public Process {
+  class AbortTwice : public Process {
    public:
     void onWake(Context& ctx) override {
-      if (ctx.id() != 0) return;
-      Packet p;
-      ctx.bcast(std::move(p));
+      if (ctx.id() == 0) send(ctx);
+    }
+    void onTimer(Context& ctx, TimerId) override {
+      ctx.abortBcast();
+      if (++aborts_ < 2) send(ctx);
+    }
+
+   private:
+    static void send(Context& ctx) {
+      ctx.bcast(Packet{});
       ctx.setTimerAfter(4);
     }
-    void onTimer(Context& ctx, TimerId) override { ctx.abortBcast(); }
+    int aborts_ = 0;
   };
   MacParams params = enhParams(16, 32);
   params.epsAbort = 10;
   MacEngine engine(view, params,
                    std::make_unique<FixedPlanScheduler>(
-                       std::vector<PlannedDelivery>{{1, 12}}, 30),
-                   [](NodeId) { return std::make_unique<AbortAt4>(); }, 1);
+                       std::vector<PlannedDelivery>{{1, 12}, {2, 5}}, 30),
+                   [](NodeId) { return std::make_unique<AbortTwice>(); }, 1);
+  // Instance 0 aborts at 4; both of its deliveries (5, 12) lie within
+  // abort + epsAbort = 14, and the one at 5 has fired.
   engine.run(5);
-  const Instance& inst = engine.instance(0);
-  ASSERT_TRUE(inst.aborted);
-  // 12 <= abort (4) + epsAbort (10): the delivery survives the abort.
-  EXPECT_EQ(pendingTargets(inst), (std::vector<NodeId>{1}));
+  ASSERT_TRUE(engine.record(0).aborted);
+  EXPECT_EQ(engine.record(0).termAt, 4);
+  EXPECT_EQ(pendingTargets(engine.instance(0)), (std::vector<NodeId>{1}));
+  EXPECT_EQ(receiversOf(engine.trace(), 0), (std::vector<NodeId>{2}));
 
+  // The boundary scrubs node 1's delivery from both instances.
   engine.run(6);
-  EXPECT_TRUE(inst.pending.empty());
-  EXPECT_EQ(inst.pending.capacity(), 0u);
-  EXPECT_EQ(inst.requiredG.capacity(), 0u);
+  EXPECT_THROW(engine.instance(0), Error);
+  EXPECT_EQ(pendingTargets(engine.instance(1)), (std::vector<NodeId>{2}));
+
+  // Instance 1 aborts at 8; its delivery at 9 is within the grace.
+  engine.run(8);
+  EXPECT_TRUE(engine.record(1).aborted);
+  EXPECT_EQ(pendingTargets(engine.instance(1)), (std::vector<NodeId>{2}));
+  engine.run(9);
+  EXPECT_EQ(receiversOf(engine.trace(), 1), (std::vector<NodeId>{2}));
+  EXPECT_THROW(engine.instance(1), Error);
+  EXPECT_EQ(engine.poolSize(), 2u);
 
   EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
-  EXPECT_EQ(engine.stats().aborts, 1u);
-  EXPECT_EQ(engine.stats().rcvs, 0u);
+  EXPECT_EQ(engine.stats().aborts, 2u);
+  EXPECT_EQ(engine.stats().rcvs, 2u);
   EXPECT_EQ(engine.stats().acks, 0u);
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
 }
@@ -678,7 +783,7 @@ TEST(EpochScrub, CrashedSenderDeliversNothingButStillAcks) {
   EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
   EXPECT_EQ(engine.stats().rcvs, 0u);
   EXPECT_EQ(engine.stats().acks, 1u);
-  EXPECT_EQ(inst.termAt, 30);
+  EXPECT_EQ(engine.record(0).termAt, 30);
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
 }
 
@@ -709,7 +814,7 @@ TEST(EpochScrub, ReturningLinkDoesNotReviveACancelledDelivery) {
     if (rec.kind == sim::TraceKind::kRcv && rec.node == 2) rcvAt2 = rec.t;
   }
   EXPECT_EQ(rcvAt2, 24);
-  EXPECT_EQ(inst.deliveredTo, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(receiversOf(engine.trace(), 0), (std::vector<NodeId>{1, 2}));
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
 }
 

@@ -91,9 +91,9 @@ TEST(ProgressGuard, JunkCoverageSuppressesForcedRealDeliveries) {
   Time junkAt = -1;
   for (const auto& rec : engine.trace().records()) {
     if (rec.kind != sim::TraceKind::kRcv || rec.node != 1) continue;
-    const auto& inst = engine.instance(rec.instance);
-    if (inst.sender == 0) realAt = rec.t;
-    if (inst.sender == 2) junkAt = rec.t;
+    const NodeId sender = engine.record(rec.instance).sender;
+    if (sender == 0) realAt = rec.t;
+    if (sender == 2) junkAt = rec.t;
   }
   // The junk was forced at the progress deadline; the real message
   // only arrived with the ack at fack.
@@ -162,7 +162,7 @@ TEST(ProgressGuard, NoObligationWithoutGNeighborBroadcast) {
   EXPECT_EQ(engine.stats().forcedRcvs, 0u);
   // Node 2 has no G-neighbors at all, so its instance acks with no
   // deliveries — and that execution is still model-compliant.
-  EXPECT_EQ(engine.instance(0).deliveredTo.size(), 0u);
+  EXPECT_TRUE(testutil::receiversOf(engine.trace(), 0).empty());
   const auto check = checkTrace(topo, engine.params(), engine.trace());
   EXPECT_TRUE(check.ok) << check.summary();
 }
@@ -252,8 +252,8 @@ TEST(ProgressGuard, PruningKeepsCoversOfInstancesLiveBeyondFack) {
       return *std::min_element(
           candidates.begin(), candidates.end(),
           [this](InstanceId a, InstanceId b) {
-            return engine_->instance(a).plannedAck <
-                   engine_->instance(b).plannedAck;
+            return engine_->record(a).plannedAck <
+                   engine_->record(b).plannedAck;
           });
     }
   };

@@ -80,7 +80,7 @@ TEST(TraceStats, UnreliableDeliveryCountOnNetworkC) {
   auto& engine = experiment.engine();
   const auto crossings = mac::unreliableDeliveryCount(
       topo, engine.trace(),
-      [&engine](InstanceId id) { return engine.instance(id).sender; });
+      [&engine](InstanceId id) { return engine.record(id).sender; });
   EXPECT_GE(crossings, static_cast<std::size_t>(D));
 
   // A G'=G execution has no unreliable deliveries by definition.
@@ -93,7 +93,7 @@ TEST(TraceStats, UnreliableDeliveryCountOnNetworkC) {
   EXPECT_EQ(mac::unreliableDeliveryCount(
                 clean, cleanEngine.trace(),
                 [&cleanEngine](InstanceId id) {
-                  return cleanEngine.instance(id).sender;
+                  return cleanEngine.record(id).sender;
                 }),
             0u);
 }
