@@ -59,7 +59,7 @@ struct ExecutionChecker::Impl {
         roundLen(macIn.fprog + 1) {}
 
   const graph::TopologyView& view;
-  const core::ProtocolSpec& protocol;
+  const core::ProtocolSpec protocol;
   const core::MmbWorkload& workload;
 
   mac::TraceChecker macChecker;

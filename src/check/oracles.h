@@ -23,12 +23,16 @@
 //
 // The production implementation is streaming: ExecutionChecker
 // consumes records in commit order (feed() or a live-Trace
-// attachConsumer) and keeps only O(n + active instances) of state —
-// the internal mac::TraceChecker, the MMB bitmaps, per-kind counters
-// and the FMMB round-grid findings — so spooled traces are vetted
-// without ever materializing.  checkExecution() drives it over a
-// stored trace; checkExecutionOffline() retains the original
-// whole-trace composition for the streaming-parity suite.
+// attachConsumer) and keeps only O(n + live instances) of state — the
+// internal mac::TraceChecker, which decides the progress algebra
+// behind its frontier (see mac/trace_checker.h), the MMB bitmaps,
+// per-kind counters and the FMMB round-grid findings — so spooled
+// traces are vetted without ever materializing.  Like the MAC checker
+// it requires records in nondecreasing time order; out-of-order input
+// stays in bounds but may get a different verdict than the offline
+// composition.  checkExecution() drives it over a stored trace;
+// checkExecutionOffline() retains the original whole-trace composition
+// for the streaming-parity suite.
 #pragma once
 
 #include <memory>
@@ -72,6 +76,9 @@ bool finalEpochRestoresConnectivity(const graph::TopologyView& view);
 /// whose MAC bounds are only fitted after the run, are not streamed
 /// here: runner::executeRun re-checks their stored trace once the fit
 /// is known.
+///
+/// `protocol` and `mac` are copied, so temporaries are fine; `view`
+/// and `workload` are borrowed and must outlive the checker.
 class ExecutionChecker : public sim::TraceConsumer {
  public:
   struct Options {

@@ -1,10 +1,14 @@
 #include "mac/trace_checker.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <limits>
 #include <map>
+#include <optional>
 #include <queue>
 #include <set>
-#include <sstream>
+#include <unordered_map>
 #include <utility>
 
 namespace ammb::mac {
@@ -20,33 +24,34 @@ struct Interval {
   Time hi;
 };
 
-/// Sorts and merges overlapping/adjacent intervals.
-std::vector<Interval> normalize(std::vector<Interval> xs) {
+/// Sorts and merges overlapping/adjacent intervals in place, dropping
+/// empty ones.  The result is the canonical form of the point-set
+/// union, so any two lists with the same union normalize alike.
+void normalize(std::vector<Interval>& xs) {
   std::sort(xs.begin(), xs.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> out;
-  for (const Interval& x : xs) {
+  std::size_t out = 0;
+  for (const Interval x : xs) {
     if (x.hi != kTimeNever && x.hi < x.lo) continue;
-    if (!out.empty() && out.back().hi != kTimeNever &&
-        x.lo <= out.back().hi + 1) {
-      out.back().hi = (x.hi == kTimeNever)
-                          ? kTimeNever
-                          : std::max(out.back().hi, x.hi);
-    } else if (!out.empty() && out.back().hi == kTimeNever) {
+    if (out > 0 && xs[out - 1].hi != kTimeNever &&
+        x.lo <= xs[out - 1].hi + 1) {
+      xs[out - 1].hi = (x.hi == kTimeNever)
+                           ? kTimeNever
+                           : std::max(xs[out - 1].hi, x.hi);
+    } else if (out > 0 && xs[out - 1].hi == kTimeNever) {
       // Everything later is already covered.
       continue;
     } else {
-      out.push_back(x);
+      xs[out++] = x;
     }
   }
-  return out;
+  xs.resize(out);
 }
 
-/// First point of `need` not covered by `cover`, or kTimeNever.
-Time firstUncovered(const std::vector<Interval>& needRaw,
-                    const std::vector<Interval>& coverRaw) {
-  const auto need = normalize(needRaw);
-  const auto cover = normalize(coverRaw);
+/// First point of `need` not covered by `cover` (both normalized), or
+/// kTimeNever.
+Time firstUncovered(const std::vector<Interval>& need,
+                    const std::vector<Interval>& cover) {
   for (const Interval& nd : need) {
     Time t = nd.lo;
     for (const Interval& cv : cover) {
@@ -62,25 +67,6 @@ Time firstUncovered(const std::vector<Interval>& needRaw,
   }
   return kTimeNever;
 }
-
-/// An interval union that re-normalizes itself as it grows.
-/// normalize() computes the canonical form of the *point-set union*,
-/// so compacting mid-stream and appending more intervals yields
-/// byte-identical firstUncovered() answers to keeping the raw list —
-/// with resident size proportional to the union's fragmentation, not
-/// the append count.
-struct IntervalAcc {
-  std::vector<Interval> xs;
-  std::size_t compactAt = 64;
-
-  void push(Interval x) {
-    xs.push_back(x);
-    if (xs.size() >= compactAt) {
-      xs = normalize(std::move(xs));
-      compactAt = std::max<std::size_t>(64, xs.size() * 2);
-    }
-  }
-};
 
 /// Reconstructed per-instance facts (offline reference checker).
 struct InstanceFacts {
@@ -336,6 +322,8 @@ class OfflineChecker {
           cover.push_back({d - fprog, hi});
         }
       }
+      normalize(need);
+      normalize(cover);
       const Time t = firstUncovered(need, cover);
       if (t != kTimeNever) {
         fail("progress-bound", kNoInstance, j, t,
@@ -358,33 +346,72 @@ class OfflineChecker {
 
 // --- streaming checker -------------------------------------------------------
 //
-// Mirrors the offline reference record for record.  The stream
-// automaton's state per instance lives in `active_` until the
-// terminating event, then briefly in `tombs_` (so deliveries inside
-// the epsAbort window — legal for aborts, violations for acks — stay
-// attributable); the per-receiver progress algebra accumulates in
-// IntervalAccs.  Violations are buffered in three tiers so the
-// assembled result is byte-identical to the offline scan /
-// per-instance / progress pass order: stream-order scan violations,
-// per-instance receive + termination buffers keyed by instance id, and
-// the progress sweep at finish().
+// Mirrors the offline reference record for record, holding O(n + live
+// instances) of state.  Each instance lives in a pooled slot, found
+// through an id index: active until its terminating record, then a
+// tomb until the stream moves past termAt + max(epsAbort, Fack), so
+// deliveries inside the epsAbort window (legal for aborts, violations
+// for acks) stay attributable.  A slot's receive list is both its
+// seen-set and, while active, the contending receives whose cover end
+// the termination fixes; a reused slot keeps its capacity, so a receive
+// allocates nothing.
+//
+// The per-receiver progress algebra is decided behind the frontier
+// F = min(last fed time, oldest active bcastAt) - Fprog.  With records
+// in nondecreasing time no interval pushed later starts below F: a need
+// span starts at or after its bcast, a cover at its receive - Fprog,
+// and an active instance's receives follow its bcast.  When a
+// receiver's lists fill up they are normalized: an uncovered need point
+// below F is final and becomes the receiver's verdict; otherwise every
+// need point below F is covered, and that part of the lists is dropped.
+//
+// Violations are buffered in three tiers so the assembled result is
+// byte-identical to the offline scan / per-instance / progress pass
+// order: stream-order scan violations, per-instance receive +
+// termination buffers keyed by instance id, and the progress verdicts
+// at finish().
 
 struct TraceChecker::Impl {
-  struct Active {
-    NodeId sender = kNoNode;
-    Time bcastAt = 0;
-    /// Receivers that rcv'd so far (the pre-ack set at term time).
-    std::set<NodeId> seen;
-    /// (receiver, rcv time) pairs that passed the E'-contention filter
-    /// — their cover upper end is only known at termination.
-    std::vector<std::pair<NodeId, Time>> covers;
+  /// Combined need + cover length at which a receiver's lists are
+  /// first normalized and retired; afterwards twice what remained.
+  static constexpr std::size_t kRetireAt = 8;
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One receive of a slot's instance; `contending` marks a delivery
+  /// over an E'-link live at `at`, which covers the receiver.
+  struct Rcv {
+    Time at;
+    NodeId node;
+    bool contending;
   };
 
-  struct Tomb {
+  /// Per-instance state, pooled: active until the terminating record,
+  /// then a tomb until it expires.
+  struct Slot {
+    InstanceId id = kNoInstance;
     NodeId sender = kNoNode;
-    Time termAt = 0;
+    bool active = false;
     bool aborted = false;
-    std::set<NodeId> seen;
+    Time bcastAt = 0;
+    Time termAt = 0;
+    /// Every receive so far, in stream order.
+    std::vector<Rcv> rcvs;
+
+    bool saw(NodeId node) const {
+      return std::any_of(rcvs.begin(), rcvs.end(),
+                         [node](const Rcv& x) { return x.node == node; });
+    }
+  };
+
+  /// One receiver's progress algebra.  Once its first uncovered need
+  /// point falls behind the frontier it is `verdict`: the lists are
+  /// dropped and later pushes ignored.
+  struct Receiver {
+    std::vector<Interval> need;
+    std::vector<Interval> cover;
+    std::size_t retireAt = kRetireAt;
+    Time verdict = kTimeNever;
   };
 
   struct PerInstanceV {
@@ -397,8 +424,8 @@ struct TraceChecker::Impl {
       : view_(view),
         params_(params),
         horizonClip_(horizonClip),
-        need_(static_cast<std::size_t>(view.n())),
-        cover_(static_cast<std::size_t>(view.n())),
+        busy_(static_cast<std::size_t>(view.n())),
+        receivers_(static_cast<std::size_t>(view.n())),
         candMark_(static_cast<std::size_t>(view.n()), 0) {}
 
   void fail(std::vector<Violation>& into, std::string axiom,
@@ -407,10 +434,20 @@ struct TraceChecker::Impl {
     into.push_back(Violation{std::move(axiom), instance, node, time, msg});
   }
 
+  bool inRange(NodeId node) const { return node >= 0 && node < view_.n(); }
+
+  std::uint32_t slotOf(InstanceId id) const {
+    const auto it = index_.find(id);
+    return it == index_.end() ? kNoSlot : it->second;
+  }
+
   void expireTombs(Time now) {
     while (!expiry_.empty() && expiry_.top().first < now) {
-      tombs_.erase(expiry_.top().second);
+      const std::uint32_t s = expiry_.top().second;
       expiry_.pop();
+      index_.erase(slots_[s].id);
+      slots_[s].rcvs.clear();
+      freeSlots_.push_back(s);
     }
   }
 
@@ -427,187 +464,232 @@ struct TraceChecker::Impl {
   }
 
   void onBcast(const TraceRecord& r) {
-    auto busyIt = busy_.find(r.node);
-    if (busyIt != busy_.end()) {
-      fail(scanV_, "well-formedness", r.instance, r.node, r.t,
-           "well-formedness: node " + std::to_string(r.node) +
-               " bcast while instance " + std::to_string(busyIt->second) +
-               " is outstanding");
+    // A node outside [0, n) never has an outstanding bcast.
+    if (inRange(r.node)) {
+      std::optional<InstanceId>& busy = busy_[static_cast<std::size_t>(r.node)];
+      if (busy.has_value()) {
+        fail(scanV_, "well-formedness", r.instance, r.node, r.t,
+             "well-formedness: node " + std::to_string(r.node) +
+                 " bcast while instance " + std::to_string(*busy) +
+                 " is outstanding");
+      }
+      busy = r.instance;
     }
-    busy_[r.node] = r.instance;
-    if (active_.count(r.instance) > 0 || tombs_.count(r.instance) > 0) {
+    if (index_.count(r.instance) > 0) {
       fail(scanV_, "well-formedness", r.instance, r.node, r.t,
            "duplicate bcast record for instance " +
                std::to_string(r.instance));
       return;
     }
-    Active a;
-    a.sender = r.node;
-    a.bcastAt = r.t;
-    active_.emplace(r.instance, std::move(a));
-  }
-
-  /// Appends `local` to the instance's rcv-order violation buffer.
-  /// Clean receives (the overwhelming case) never touch the map.
-  void stashRcvViolations(InstanceId id, std::vector<Violation>& local) {
-    if (local.empty()) return;
-    auto& rcvV = perInstanceV_[id].rcvV;
-    for (Violation& v : local) rcvV.push_back(std::move(v));
-    local.clear();
+    std::uint32_t s;
+    if (freeSlots_.empty()) {
+      s = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      s = freeSlots_.back();
+      freeSlots_.pop_back();
+    }
+    Slot& slot = slots_[s];
+    slot.id = r.instance;
+    slot.sender = r.node;
+    slot.active = true;
+    slot.aborted = false;
+    slot.bcastAt = r.t;
+    // Reserving the sender's E' fan-out, the receives its epoch allows,
+    // keeps the list from growing by doubling.
+    if (inRange(r.node)) {
+      slot.rcvs.reserve(
+          view_.dualAt(view_.epochAt(r.t)).gPrime().degree(r.node));
+    }
+    index_.emplace(r.instance, s);
+    oldestActiveBcast();  // pops stale heads, so the FIFO stays O(live)
+    bcastOrder_.emplace_back(r.t, r.instance);
   }
 
   void onRcv(const TraceRecord& r) {
-    rcvScratchV_.clear();
-    auto it = active_.find(r.instance);
-    if (it != active_.end()) {
-      Active& a = it->second;
-      if (r.node == a.sender) {
-        fail(rcvScratchV_, "rcv-at-sender", r.instance, r.node, r.t,
-             "instance " + std::to_string(r.instance) +
-                 " delivered to its sender");
-      }
-      const bool onGPrime = view_.dualAt(view_.epochAt(r.t))
-                                .gPrime()
-                                .hasEdge(a.sender, r.node);
-      if (!onGPrime) {
-        fail(rcvScratchV_, "rcv-off-gprime", r.instance, r.node, r.t,
-             "instance " + std::to_string(r.instance) +
-                 " delivered outside G' (of the epoch at t=" +
-                 std::to_string(r.t) + ") to node " + std::to_string(r.node));
-      }
-      if (!a.seen.insert(r.node).second) {
-        fail(rcvScratchV_, "rcv-duplicate", r.instance, r.node, r.t,
-             "instance " + std::to_string(r.instance) +
-                 " delivered twice to node " + std::to_string(r.node));
-      }
-      if (onGPrime) a.covers.emplace_back(r.node, r.t);
-      stashRcvViolations(r.instance, rcvScratchV_);
-      return;
-    }
-    auto tit = tombs_.find(r.instance);
-    if (tit == tombs_.end()) {
+    const std::uint32_t s = slotOf(r.instance);
+    if (s == kNoSlot) {
       fail(scanV_, "rcv-unknown-instance", r.instance, r.node, r.t,
            "rcv for unknown instance " + std::to_string(r.instance));
       return;
     }
-    Tomb& tb = tit->second;
-    if (r.node == tb.sender) {
+    Slot& slot = slots_[s];
+    rcvScratchV_.clear();
+    if (r.node == slot.sender) {
       fail(rcvScratchV_, "rcv-at-sender", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " delivered to its sender");
     }
     const bool onGPrime = view_.dualAt(view_.epochAt(r.t))
                               .gPrime()
-                              .hasEdge(tb.sender, r.node);
+                              .hasEdge(slot.sender, r.node);
     if (!onGPrime) {
       fail(rcvScratchV_, "rcv-off-gprime", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " delivered outside G' (of the epoch at t=" +
                std::to_string(r.t) + ") to node " + std::to_string(r.node));
     }
-    if (!tb.seen.insert(r.node).second) {
+    if (slot.saw(r.node)) {
       fail(rcvScratchV_, "rcv-duplicate", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " delivered twice to node " + std::to_string(r.node));
     }
-    if (!tb.aborted) {
+    if (!slot.active && !slot.aborted) {
       fail(rcvScratchV_, "rcv-after-ack", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) + " rcv after its ack");
     }
-    if (tb.aborted && r.t > tb.termAt + params_.epsAbort) {
+    if (!slot.active && slot.aborted &&
+        r.t > slot.termAt + params_.epsAbort) {
       fail(rcvScratchV_, "rcv-after-abort", r.instance, r.node, r.t,
            "instance " + std::to_string(r.instance) +
                " rcv more than epsAbort after its abort");
     }
-    stashRcvViolations(r.instance, rcvScratchV_);
-    // Post-termination contending deliveries still cover, with the
-    // upper end the termination already fixed.
-    if (onGPrime) {
-      cover_[static_cast<std::size_t>(r.node)].push(
-          {r.t - params_.fprog, tb.termAt - 1});
+    slot.rcvs.push_back({r.t, r.node, onGPrime});
+    // Clean receives (the overwhelming case) never touch the map.
+    if (!rcvScratchV_.empty()) {
+      auto& rcvV = perInstanceV_[r.instance].rcvV;
+      for (Violation& v : rcvScratchV_) rcvV.push_back(std::move(v));
+    }
+    // A tomb's contending deliveries still cover, with the upper end
+    // the termination already fixed.
+    if (!slot.active && onGPrime) {
+      push(&Receiver::cover, r.node, {r.t - params_.fprog, slot.termAt - 1});
     }
   }
 
   void onTerm(const TraceRecord& r) {
-    auto it = active_.find(r.instance);
-    if (it == active_.end()) {
-      if (tombs_.count(r.instance) > 0) {
-        fail(scanV_, "term-duplicate", r.instance, r.node, r.t,
-             "instance " + std::to_string(r.instance) + " terminated twice");
-        checkTermOutstanding(r);
-      } else {
-        fail(scanV_, "term-unknown-instance", r.instance, r.node, r.t,
-             "termination for unknown instance " +
-                 std::to_string(r.instance));
-      }
+    const std::uint32_t s = slotOf(r.instance);
+    if (s == kNoSlot) {
+      fail(scanV_, "term-unknown-instance", r.instance, r.node, r.t,
+           "termination for unknown instance " + std::to_string(r.instance));
       return;
     }
-    Active a = std::move(it->second);
-    active_.erase(it);
+    if (!slots_[s].active) {
+      fail(scanV_, "term-duplicate", r.instance, r.node, r.t,
+           "instance " + std::to_string(r.instance) + " terminated twice");
+      checkTermOutstanding(r);
+      return;
+    }
     checkTermOutstanding(r);
+    Slot& slot = slots_[s];
     const bool aborted = (r.kind == TraceKind::kAbort);
     if (!aborted) {
       rcvScratchV_.clear();
       const graph::DualGraph& bcastTopo =
-          view_.dualAt(view_.epochAt(a.bcastAt));
-      for (NodeId j : bcastTopo.g().neighbors(a.sender)) {
-        if (!view_.gEdgeLiveThroughout(a.sender, j, a.bcastAt, r.t)) {
+          view_.dualAt(view_.epochAt(slot.bcastAt));
+      for (NodeId j : bcastTopo.g().neighbors(slot.sender)) {
+        if (!view_.gEdgeLiveThroughout(slot.sender, j, slot.bcastAt, r.t)) {
           continue;
         }
-        if (a.seen.count(j) == 0) {
+        if (!slot.saw(j)) {
           fail(rcvScratchV_, "ack-before-rcv", r.instance, j, r.t,
                "instance " + std::to_string(r.instance) +
                    " acked before G-neighbor " + std::to_string(j) +
                    " received it");
         }
       }
-      if (r.t - a.bcastAt > params_.fack) {
-        fail(rcvScratchV_, "ack-bound", r.instance, a.sender, r.t,
+      if (r.t - slot.bcastAt > params_.fack) {
+        fail(rcvScratchV_, "ack-bound", r.instance, slot.sender, r.t,
              "instance " + std::to_string(r.instance) +
                  " violated the ack bound (" +
-                 std::to_string(r.t - a.bcastAt) + " > Fack)");
+                 std::to_string(r.t - slot.bcastAt) + " > Fack)");
       }
       if (!rcvScratchV_.empty()) {
         auto& termV = perInstanceV_[r.instance].termV;
         for (Violation& v : rcvScratchV_) termV.push_back(std::move(v));
-        rcvScratchV_.clear();
       }
     }
     // Progress bookkeeping: the instance's need spans and the upper
-    // end of its covers are fixed by the terminating event.
+    // end of its covers are fixed by the terminating event.  The slot
+    // stays active until both are pushed, so the frontier holds.
     const Time termClip =
         horizonClip_ == kTimeNever ? r.t : std::min(r.t, horizonClip_);
-    flushNeedSpans(a.sender, a.bcastAt, termClip);
-    for (const auto& [j, d] : a.covers) {
-      cover_[static_cast<std::size_t>(j)].push({d - params_.fprog, r.t - 1});
-    }
+    flushInstance(slot, termClip, r.t - 1);
     maxTermAt_ = std::max(maxTermAt_, r.t);
-    Tomb tb;
-    tb.sender = a.sender;
-    tb.termAt = r.t;
-    tb.aborted = aborted;
-    tb.seen = std::move(a.seen);
-    tombs_.emplace(r.instance, std::move(tb));
-    expiry_.push({r.t + std::max(params_.epsAbort, params_.fack), r.instance});
+    slot.active = false;
+    slot.aborted = aborted;
+    slot.termAt = r.t;
+    expiry_.push({r.t + std::max(params_.epsAbort, params_.fack), s});
   }
 
   void checkTermOutstanding(const TraceRecord& r) {
-    auto bit = busy_.find(r.node);
-    if (bit == busy_.end() || bit->second != r.instance) {
+    if (inRange(r.node) &&
+        busy_[static_cast<std::size_t>(r.node)] == r.instance) {
+      busy_[static_cast<std::size_t>(r.node)].reset();
+    } else {
       fail(scanV_, "term-not-outstanding", r.instance, r.node, r.t,
            "termination of instance " + std::to_string(r.instance) +
                " which is not the outstanding bcast of node " +
                std::to_string(r.node));
-    } else {
-      busy_.erase(bit);
+    }
+  }
+
+  /// bcastAt of the oldest active instance, or kTimeNever.  Pops FIFO
+  /// heads whose instance is no longer active.
+  Time oldestActiveBcast() {
+    while (!bcastOrder_.empty()) {
+      const auto [at, id] = bcastOrder_.front();
+      const std::uint32_t s = slotOf(id);
+      if (s != kNoSlot && slots_[s].active && slots_[s].bcastAt == at) {
+        return at;
+      }
+      bcastOrder_.pop_front();
+    }
+    return kTimeNever;
+  }
+
+  /// Below this point every receiver's need and cover sets are final.
+  Time frontier() {
+    return std::min(lastFedT_, oldestActiveBcast()) - params_.fprog;
+  }
+
+  void push(std::vector<Interval> Receiver::*list, NodeId j, Interval x) {
+    Receiver& rc = receivers_[static_cast<std::size_t>(j)];
+    if (rc.verdict != kTimeNever) return;
+    (rc.*list).push_back(x);
+    if (rc.need.size() + rc.cover.size() >= rc.retireAt) retire(rc);
+  }
+
+  /// Normalizes a receiver's lists and decides everything below the
+  /// frontier: a verdict if a need point there is uncovered, else the
+  /// part below it is dropped.
+  void retire(Receiver& rc) {
+    normalize(rc.need);
+    normalize(rc.cover);
+    const Time f = frontier();
+    const Time t = firstUncovered(rc.need, rc.cover);
+    if (t < f) {
+      rc.verdict = t;
+      std::vector<Interval>().swap(rc.need);
+      std::vector<Interval>().swap(rc.cover);
+      return;
+    }
+    for (std::vector<Interval>* xs : {&rc.need, &rc.cover}) {
+      xs->erase(std::remove_if(xs->begin(), xs->end(),
+                               [f](const Interval& x) {
+                                 return x.hi != kTimeNever && x.hi < f;
+                               }),
+                xs->end());
+      for (Interval& x : *xs) x.lo = std::max(x.lo, f);
+    }
+    rc.retireAt = std::max(kRetireAt, 2 * (rc.need.size() + rc.cover.size()));
+  }
+
+  /// Pushes one instance's need spans, clipped to termClip, and its
+  /// contending receives as covers ending at coverHi.
+  void flushInstance(const Slot& slot, Time termClip, Time coverHi) {
+    flushNeedSpans(slot.sender, slot.bcastAt, termClip);
+    for (const Rcv& x : slot.rcvs) {
+      if (x.contending) {
+        push(&Receiver::cover, x.node, {x.at - params_.fprog, coverHi});
+      }
     }
   }
 
   /// The offline appendNeedSpans, parameterized by (sender, bcastAt):
   /// one interval per maximal run of epochs throughout which the
   /// E-link is live, clipped to [bcastAt, termClip].
-  void appendNeedSpans(NodeId sender, Time bcastAt, NodeId j, Time termClip,
-                       IntervalAcc& need) const {
+  void appendNeedSpans(NodeId sender, Time bcastAt, NodeId j, Time termClip) {
     const Time fprog = params_.fprog;
     if (termClip < bcastAt) return;
     const int e2 = view_.epochAt(termClip);
@@ -627,7 +709,7 @@ struct TraceChecker::Impl {
         hi = std::min(hi, view_.epochStart(last + 1));
       }
       hi -= fprog + 1;
-      if (hi >= lo) need.push({lo, hi});
+      if (hi >= lo) push(&Receiver::need, j, {lo, hi});
       e = last + 1;
     }
   }
@@ -651,9 +733,18 @@ struct TraceChecker::Impl {
     }
     for (NodeId j : candScratch_) {
       candMark_[static_cast<std::size_t>(j)] = 0;
-      appendNeedSpans(sender, bcastAt, j, termClip,
-                      need_[static_cast<std::size_t>(j)]);
+      appendNeedSpans(sender, bcastAt, j, termClip);
     }
+  }
+
+  TraceChecker::LiveState liveState() const {
+    TraceChecker::LiveState state;
+    state.instances = slots_.size() - freeSlots_.size();
+    for (const Receiver& rc : receivers_) {
+      if (rc.verdict != kTimeNever) ++state.decidedReceivers;
+      state.intervals += rc.need.size() + rc.cover.size();
+    }
+    return state;
   }
 
   CheckResult finish(Time horizon) {
@@ -664,19 +755,16 @@ struct TraceChecker::Impl {
     // when no clip was given; engine-committed traces (monotone
     // timestamps, horizon at or past the last record) satisfy this.
     AMMB_ASSERT(horizonClip_ != kTimeNever || horizon >= maxTermAt_);
-    for (auto& [id, a] : active_) {
-      if (a.bcastAt + params_.fack < horizon) {
-        fail(perInstanceV_[id].termV, "termination", id, a.sender,
-             a.bcastAt + params_.fack,
-             "instance " + std::to_string(id) +
+    for (const Slot& slot : slots_) {
+      if (!slot.active) continue;
+      if (slot.bcastAt + params_.fack < horizon) {
+        fail(perInstanceV_[slot.id].termV, "termination", slot.id,
+             slot.sender, slot.bcastAt + params_.fack,
+             "instance " + std::to_string(slot.id) +
                  " never terminated although its Fack budget expired before "
                  "the horizon");
       }
-      flushNeedSpans(a.sender, a.bcastAt, horizon);
-      for (const auto& [j, d] : a.covers) {
-        cover_[static_cast<std::size_t>(j)].push(
-            {d - params_.fprog, kTimeNever});
-      }
+      flushInstance(slot, horizon, kTimeNever);
     }
     CheckResult result;
     auto emit = [&result](const Violation& v) {
@@ -691,8 +779,13 @@ struct TraceChecker::Impl {
       for (const Violation& v : bufs.termV) emit(v);
     }
     for (NodeId j = 0; j < view_.n(); ++j) {
-      const Time t = firstUncovered(need_[static_cast<std::size_t>(j)].xs,
-                                    cover_[static_cast<std::size_t>(j)].xs);
+      Receiver& rc = receivers_[static_cast<std::size_t>(j)];
+      Time t = rc.verdict;
+      if (t == kTimeNever) {
+        normalize(rc.need);
+        normalize(rc.cover);
+        t = firstUncovered(rc.need, rc.cover);
+      }
       if (t != kTimeNever) {
         emit(Violation{
             "progress-bound", kNoInstance, j, t,
@@ -705,17 +798,24 @@ struct TraceChecker::Impl {
   }
 
   const graph::TopologyView& view_;
-  const MacParams& params_;
+  const MacParams params_;
   Time horizonClip_;
 
-  std::map<NodeId, InstanceId> busy_;
-  std::map<InstanceId, Active> active_;
-  std::map<InstanceId, Tomb> tombs_;
-  /// (expiry time, instance) min-heap; a tomb expires once the stream
+  /// [node] the outstanding instance, if any.
+  std::vector<std::optional<InstanceId>> busy_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> freeSlots_;
+  /// Instance id to slot.  Hand-built traces use arbitrary ids, so
+  /// nothing assumes they are dense.
+  std::unordered_map<InstanceId, std::uint32_t> index_;
+  /// (bcastAt, id) in bcast order; the first entry still active gives
+  /// the frontier.
+  std::deque<std::pair<Time, InstanceId>> bcastOrder_;
+  /// (expiry time, slot) min-heap; a tomb expires once the stream
   /// moves past termAt + max(epsAbort, Fack).
-  std::priority_queue<std::pair<Time, InstanceId>,
-                      std::vector<std::pair<Time, InstanceId>>,
-                      std::greater<std::pair<Time, InstanceId>>>
+  std::priority_queue<std::pair<Time, std::uint32_t>,
+                      std::vector<std::pair<Time, std::uint32_t>>,
+                      std::greater<std::pair<Time, std::uint32_t>>>
       expiry_;
 
   std::vector<Violation> scanV_;
@@ -723,8 +823,7 @@ struct TraceChecker::Impl {
   /// Per-record violation scratch (empty on the clean hot path).
   std::vector<Violation> rcvScratchV_;
 
-  std::vector<IntervalAcc> need_;
-  std::vector<IntervalAcc> cover_;
+  std::vector<Receiver> receivers_;
   std::vector<char> candMark_;
   std::vector<NodeId> candScratch_;
 
@@ -744,6 +843,10 @@ void TraceChecker::feed(const sim::TraceRecord& record) {
 
 CheckResult TraceChecker::finish(Time horizon) {
   return impl_->finish(horizon);
+}
+
+TraceChecker::LiveState TraceChecker::liveState() const {
+  return impl_->liveState();
 }
 
 CheckResult checkTrace(const graph::TopologyView& view,

@@ -20,13 +20,13 @@
 // more power than the model allows.
 //
 // The production implementation is a single-pass streaming automaton
-// (TraceChecker): it consumes records in commit order, retires
-// per-instance state when the instance acks/aborts, and keeps the
-// progress interval algebra compacted incrementally — peak memory is
-// O(n + active instances), independent of trace length, so spooled
-// traces check without ever materializing.  checkTrace() drives it
-// over a stored trace; attach a TraceChecker to a live Trace
-// (attachConsumer) to check while the run executes.
+// (TraceChecker): it consumes records in commit order, keeps each
+// instance in a pooled slot until shortly after it acks/aborts, and
+// decides the progress interval algebra behind a frontier as the
+// stream passes — peak memory is O(n + live instances), independent of
+// trace length, so spooled traces check without ever materializing.
+// checkTrace() drives it over a stored trace; attach a TraceChecker to
+// a live Trace (attachConsumer) to check while the run executes.
 // checkTraceOffline() retains the original whole-trace reference
 // implementation; the parity suite pins the two byte-identical.
 #pragma once
@@ -73,17 +73,31 @@ struct CheckResult {
 ///
 /// Feed records in commit order (feed() directly, or attach to a live
 /// Trace as a TraceConsumer), then call finish() once for the verdict.
-/// Per-instance state is retired on ack/abort (kept briefly as a
-/// tombstone so epsAbort-window deliveries stay attributable), and the
-/// per-receiver need/cover interval sets are re-normalized as they
-/// grow, so resident memory is O(n + active instances).
+///
+/// Precondition: records arrive in nondecreasing timestamp order, as
+/// every engine-committed trace does.  Under it the checker's state is
+/// O(n + live instances):
+///   * an instance lives in a pooled slot until its ack/abort, then as
+///     a tombstone until the stream moves past
+///     termAt + max(epsAbort, Fack), so epsAbort-window deliveries stay
+///     attributable;
+///   * each receiver's need/cover intervals are decided behind the
+///     frontier F = min(last fed time, oldest active bcast) - Fprog,
+///     below which no later record can add an interval: a receiver
+///     whose first uncovered need point lies below F keeps only that
+///     verdict, and every other receiver keeps only its intervals at
+///     or past F.
+/// Records out of time order are outside the contract: the checker
+/// still reads and writes only in bounds, but its verdict may differ
+/// from checkTraceOffline()'s.
 ///
 /// `horizonClip` bounds the observation window exactly like the
 /// `horizon` argument of checkTrace(); leave it kTimeNever when the
-/// horizon is only known at finish() time — correct whenever records
-/// are fed in nondecreasing timestamp order and the final horizon is
-/// at or past the last fed record (true for every engine-committed
-/// trace).
+/// horizon is only known at finish() time — correct whenever the final
+/// horizon is at or past the last fed record (true for every
+/// engine-committed trace).
+///
+/// `params` is copied; `view` is borrowed and must outlive the checker.
 class TraceChecker : public sim::TraceConsumer {
  public:
   TraceChecker(const graph::TopologyView& view, const MacParams& params,
@@ -101,6 +115,14 @@ class TraceChecker : public sim::TraceConsumer {
   /// `horizon` defaults to the constructor clip when one was given,
   /// else to the last fed record's timestamp (0 if none were fed).
   CheckResult finish(Time horizon = kTimeNever);
+
+  /// What the checker holds right now.
+  struct LiveState {
+    std::size_t instances = 0;         ///< active instances plus tombstones
+    std::size_t decidedReceivers = 0;  ///< progress verdicts already final
+    std::size_t intervals = 0;         ///< need + cover intervals retained
+  };
+  LiveState liveState() const;
 
  private:
   struct Impl;

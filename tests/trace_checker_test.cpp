@@ -1,6 +1,12 @@
-// Unit tests for the offline model checker: every axiom's violation is
-// detected on hand-built traces, and real engine traces pass.
+// Unit tests for the streaming model checker, driven through
+// checkTrace(): every axiom's violation is detected on hand-built
+// traces, real engine traces pass, and the checker's live state stays
+// flat however long the stream runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "mac/trace_checker.h"
@@ -306,6 +312,93 @@ TEST(TraceChecker, StructuredRecordsParallelTheMessages) {
   }
   EXPECT_TRUE(sawOffGPrime);
   EXPECT_TRUE(sawAckBound);
+}
+
+// Separated bursts on the line 0-1-2: every 100 ticks node 0 bcasts,
+// node 1 receives `rcvAt` ticks later and the ack lands at +32.  Each
+// burst owes receiver 1 one need span and one cover, which a checker
+// holding every interval until finish() would keep.
+std::vector<sim::TraceRecord> burstStream(int bursts, Time rcvAt) {
+  std::vector<sim::TraceRecord> records;
+  for (int b = 0; b < bursts; ++b) {
+    const Time t = 100 * static_cast<Time>(b);
+    records.push_back({t, TraceKind::kBcast, 0, b, kNoMsg});
+    records.push_back({t + rcvAt, TraceKind::kRcv, 1, b, kNoMsg});
+    records.push_back({t + 32, TraceKind::kAck, 0, b, kNoMsg});
+  }
+  return records;
+}
+
+/// Feeds `records` and returns the checker's peak live state (each
+/// field's own maximum over the stream) and its verdict.
+std::pair<TraceChecker::LiveState, CheckResult> peakLiveState(
+    const graph::TopologyView& view,
+    const std::vector<sim::TraceRecord>& records) {
+  TraceChecker checker(view, stdParams());
+  TraceChecker::LiveState peak;
+  for (const sim::TraceRecord& r : records) {
+    checker.feed(r);
+    const TraceChecker::LiveState now = checker.liveState();
+    peak.instances = std::max(peak.instances, now.instances);
+    peak.decidedReceivers =
+        std::max(peak.decidedReceivers, now.decidedReceivers);
+    peak.intervals = std::max(peak.intervals, now.intervals);
+  }
+  return {peak, checker.finish()};
+}
+
+TEST(TraceChecker, LiveStateDoesNotGrowWithTheStream) {
+  const auto topo = gen::identityDual(gen::line(3));
+  const graph::TopologyView view(topo);
+  constexpr int kBursts = 40;
+
+  // Clean bursts: the receive at +4 covers every window.
+  const auto [shortPeak, shortResult] =
+      peakLiveState(view, burstStream(kBursts, 4));
+  const auto [longPeak, longResult] =
+      peakLiveState(view, burstStream(10 * kBursts, 4));
+  EXPECT_TRUE(shortResult.ok) << shortResult.summary();
+  EXPECT_TRUE(longResult.ok) << longResult.summary();
+  EXPECT_EQ(longPeak.instances, shortPeak.instances);
+  EXPECT_EQ(longPeak.intervals, shortPeak.intervals);
+  EXPECT_LE(longPeak.instances, 2u);
+  EXPECT_LT(longPeak.intervals, static_cast<std::size_t>(kBursts));
+  EXPECT_EQ(longPeak.decidedReceivers, 0u);
+
+  // Late receives at +32 leave [t, t + 27] uncovered in every burst.
+  // Receiver 1's verdict is final once the stream passes the first
+  // burst; it is decided mid-stream, its intervals dropped, and the
+  // result still equals the offline reference's.
+  const std::vector<sim::TraceRecord> late = burstStream(10 * kBursts, 32);
+  const auto [latePeak, lateResult] = peakLiveState(view, late);
+  EXPECT_EQ(latePeak.decidedReceivers, 1u);
+  EXPECT_LE(latePeak.intervals, longPeak.intervals);
+  Trace lateTrace;
+  for (const sim::TraceRecord& r : late) lateTrace.add(r);
+  const CheckResult offline = checkTraceOffline(view, stdParams(), lateTrace);
+  ASSERT_FALSE(lateResult.ok);
+  EXPECT_EQ(lateResult.violations, offline.violations);
+  ASSERT_EQ(lateResult.records.size(), 1u);
+  EXPECT_EQ(lateResult.records[0].axiom, "progress-bound");
+  EXPECT_EQ(lateResult.records[0].node, 1);
+  EXPECT_EQ(lateResult.records[0].time, 0);
+}
+
+// Records out of time order are outside the checker's contract: its
+// verdict may differ from the offline reference's, but it must stay in
+// bounds (the sanitizer build checks that) and return a well-formed
+// result.
+TEST(TraceChecker, OutOfOrderRecordsStayInBounds) {
+  const auto topo = gen::identityDual(gen::line(3));
+  const graph::TopologyView view(topo);
+  std::vector<sim::TraceRecord> records = burstStream(40, 32);
+  Rng rng(3);
+  std::shuffle(records.begin(), records.end(), rng.engine());
+  Trace shuffled;
+  for (const sim::TraceRecord& r : records) shuffled.add(r);
+  const CheckResult res = checkTrace(view, stdParams(), shuffled);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.records.size(), res.violations.size());
 }
 
 }  // namespace

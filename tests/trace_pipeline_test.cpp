@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -311,6 +313,194 @@ TEST(TracePipelineParity, StreamingOraclesMatchOfflineReferences) {
                             result.endTime);
   ASSERT_TRUE(fromMem.measured());
   EXPECT_TRUE(fromMem == fromSpool);
+}
+
+// A live checker must not borrow its protocol or MAC params: here both
+// are temporaries that die before the first record arrives.
+TEST(TracePipelineParity, LiveCheckerBuiltFromTemporaries) {
+  Rng rng(5);
+  const graph::DualGraph base = gen::greyZoneField(20, 5.0, 1.5, 0.4, rng);
+  const core::MmbWorkload workload = core::workloadRoundRobin(3, base.n());
+  core::RunConfig config;
+  config.mac = testutil::stdParams(4, 32);
+  config.scheduler = core::SchedulerKind::kRandom;
+  config.seed = 3;
+  core::Experiment experiment(base, core::bmmbProtocol(), workload, config);
+  check::ExecutionChecker checker(experiment.view(), core::bmmbProtocol(),
+                                  testutil::stdParams(4, 32), workload);
+  experiment.mutableTrace().attachConsumer(&checker);
+  const core::RunResult result = experiment.run();
+  ASSERT_TRUE(result.solved);
+  const check::OracleReport live = checker.finish(result);
+  const check::OracleReport offline = check::checkExecutionOffline(
+      experiment.view(), core::bmmbProtocol(), config.mac, workload,
+      experiment.trace(), result);
+  EXPECT_TRUE(live.ok) << live.summary();
+  EXPECT_EQ(live.violations, offline.violations);
+}
+
+// --- broken traces: streaming vs offline -------------------------------------
+
+void expectSameVerdict(const mac::CheckResult& got,
+                       const mac::CheckResult& want, const std::string& what) {
+  EXPECT_EQ(got.ok, want.ok) << what;
+  EXPECT_EQ(got.violations, want.violations) << what;
+  ASSERT_EQ(got.records.size(), want.records.size()) << what;
+  for (std::size_t i = 0; i < got.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].axiom, want.records[i].axiom) << what << " #" << i;
+    EXPECT_EQ(got.records[i].instance, want.records[i].instance)
+        << what << " #" << i;
+    EXPECT_EQ(got.records[i].node, want.records[i].node) << what << " #" << i;
+    EXPECT_EQ(got.records[i].time, want.records[i].time) << what << " #" << i;
+  }
+}
+
+/// Broken variants of one run's records, each still in time order:
+/// random receive drops, one node's receives dropped over the first
+/// quarter of the run (a progress violation long before the horizon),
+/// a dropped ack, and a duplicated receive.
+std::vector<std::pair<std::string, std::vector<TraceRecord>>> brokenVariants(
+    const std::vector<TraceRecord>& records, Time horizon) {
+  std::vector<std::pair<std::string, std::vector<TraceRecord>>> out;
+  out.emplace_back("clean", records);
+  auto filtered = [&](const std::string& name, auto keep) {
+    std::vector<TraceRecord> kept;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (keep(i, records[i])) kept.push_back(records[i]);
+    }
+    out.emplace_back(name, std::move(kept));
+  };
+  for (const auto& [seed, p] : std::initializer_list<std::pair<int, double>>{
+           {1, 0.01}, {2, 0.05}, {3, 0.2}, {4, 0.5}}) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    filtered("drop-rcvs p=" + std::to_string(p),
+             [&](std::size_t, const TraceRecord& r) {
+               return r.kind != TraceKind::kRcv || !rng.bernoulli(p);
+             });
+  }
+  std::vector<std::size_t> rcvs, acks;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records[i].kind == TraceKind::kRcv) rcvs.push_back(i);
+    if (records[i].kind == TraceKind::kAck) acks.push_back(i);
+  }
+  for (std::size_t pick = 0; pick < std::min<std::size_t>(3, rcvs.size());
+       ++pick) {
+    const NodeId node = records[rcvs[pick * rcvs.size() / 8]].node;
+    filtered("drop-early-rcvs node " + std::to_string(node),
+             [&](std::size_t, const TraceRecord& r) {
+               return !(r.kind == TraceKind::kRcv && r.node == node &&
+                        r.t < horizon / 4);
+             });
+  }
+  for (const std::size_t at : {std::size_t{0}, acks.size() / 2}) {
+    if (at >= acks.size()) continue;
+    filtered("drop-ack #" + std::to_string(at),
+             [&](std::size_t i, const TraceRecord&) { return i != acks[at]; });
+  }
+  for (const std::size_t at :
+       {std::size_t{0}, rcvs.size() / 2, rcvs.size() - 1}) {
+    if (at >= rcvs.size()) continue;
+    std::vector<TraceRecord> dup(records);
+    dup.insert(dup.begin() + static_cast<std::ptrdiff_t>(rcvs[at] + 1),
+               records[rcvs[at]]);
+    out.emplace_back("dup-rcv #" + std::to_string(at), std::move(dup));
+  }
+  return out;
+}
+
+// Every broken variant of real runs gets the same MAC verdict from the
+// streaming checker, over a mem trace and a spool copy, as from the
+// offline reference — including progress violations the streaming
+// checker decides mid-stream and grace-window covers of aborted
+// instances.
+TEST(TracePipelineParity, BrokenTracesMatchOfflineReference) {
+  struct Source {
+    std::string name;
+    core::ProtocolKind protocol;
+    core::SchedulerKind scheduler;
+    bool drift;
+  };
+  const std::vector<Source> sources = {
+      {"bmmb static random", core::ProtocolKind::kBmmb,
+       core::SchedulerKind::kRandom, false},
+      {"bmmb static stuffing", core::ProtocolKind::kBmmb,
+       core::SchedulerKind::kAdversarialStuffing, false},
+      {"bmmb drift random", core::ProtocolKind::kBmmb,
+       core::SchedulerKind::kRandom, true},
+      {"bmmb drift stuffing", core::ProtocolKind::kBmmb,
+       core::SchedulerKind::kAdversarialStuffing, true},
+      {"fmmb static random aborts", core::ProtocolKind::kFmmb,
+       core::SchedulerKind::kRandom, false},
+  };
+  std::size_t progressViolations = 0;
+  std::size_t decidedMidStream = 0;
+  std::size_t graceRcvs = 0;
+  for (const Source& source : sources) {
+    Rng rng(9);
+    const graph::DualGraph base = gen::greyZoneField(24, 6.0, 1.5, 0.4, rng);
+    core::RunConfig config;
+    config.scheduler = source.scheduler;
+    config.seed = 21;
+    config.limits.maxTime = 100'000;
+    if (source.drift) {
+      config.dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
+      config.dynamics.epochs = 4;
+      config.dynamics.period = 24;
+      config.dynamics.churn = 0.5;
+    }
+    core::ProtocolSpec protocol = core::bmmbProtocol();
+    if (source.protocol == core::ProtocolKind::kFmmb) {
+      config.mac = testutil::enhParams(4, 64);
+      config.mac.epsAbort = 3;
+      protocol = core::fmmbProtocol(core::FmmbParams::make(base.n()));
+    } else {
+      config.mac = testutil::stdParams(4, 32);
+    }
+    const core::MmbWorkload workload = core::workloadRoundRobin(4, base.n());
+    core::Experiment experiment(base, protocol, workload, config);
+    const core::RunResult result = experiment.run();
+    ASSERT_TRUE(result.solved) << source.name;
+    ASSERT_EQ(experiment.view().dynamic(), source.drift) << source.name;
+    const std::vector<TraceRecord>& records = experiment.trace().records();
+
+    for (const auto& [variant, broken] :
+         brokenVariants(records, result.endTime)) {
+      const std::string what = source.name + " / " + variant;
+      Trace mem;
+      Trace spool(true, TraceMode::spool(64));
+      for (const TraceRecord& r : broken) {
+        mem.add(r);
+        spool.add(r);
+      }
+      const mac::CheckResult offline = mac::checkTraceOffline(
+          experiment.view(), config.mac, mem, result.endTime);
+      expectSameVerdict(mac::checkTrace(experiment.view(), config.mac, mem,
+                                        result.endTime),
+                        offline, what + " @ mem");
+      expectSameVerdict(mac::checkTrace(experiment.view(), config.mac, spool,
+                                        result.endTime),
+                        offline, what + " @ spool");
+
+      mac::TraceChecker live(experiment.view(), config.mac, result.endTime);
+      for (const TraceRecord& r : broken) live.feed(r);
+      decidedMidStream += live.liveState().decidedReceivers;
+      for (const mac::Violation& v : offline.records) {
+        if (v.axiom == "progress-bound") ++progressViolations;
+      }
+    }
+
+    // Receives inside an abort's grace window take the tomb path.
+    std::map<InstanceId, Time> abortAt;
+    for (const TraceRecord& r : records) {
+      if (r.kind == TraceKind::kAbort) abortAt[r.instance] = r.t;
+      if (r.kind == TraceKind::kRcv && abortAt.count(r.instance) > 0) {
+        ++graceRcvs;
+      }
+    }
+  }
+  EXPECT_GT(progressViolations, 0u);
+  EXPECT_GT(decidedMidStream, 0u);
+  EXPECT_GT(graceRcvs, 0u);
 }
 
 // --- whole-execution bit-identity across trace modes -------------------------
