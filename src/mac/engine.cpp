@@ -270,7 +270,7 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
     state(j).addLive(id);
   }
   // The new instance changes the need set of the sender's G-neighbors.
-  guard_.onBcast(id);
+  guard_.addNeeds(id);
   for (NodeId j : gNbrs) guard_.recompute(j);
 }
 
@@ -431,7 +431,7 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
   ++stats_.rcvs;
   if (forced) ++stats_.forcedRcvs;
 
-  guard_.onReceive(receiver, id, now());
+  guard_.onReceive(receiver, id);
 
   Context ctx(*this, receiver);
   state(receiver).process->onReceive(ctx, inst.packet);
@@ -471,7 +471,7 @@ void MacEngine::onAckEvent(InstanceId id) {
 void MacEngine::finishInstance(const Instance& inst) {
   NodeState& sender = state(inst.sender);
   if (sender.current == inst.id) sender.current = kNoInstance;
-  guard_.onTerminate(inst.id);
+  guard_.onTerminate(inst.id, inst.deliveredTo);
 
   // The instance no longer contends anywhere; coverage intervals it
   // provided are now capped at termAt, so re-evaluate the neighborhood.
@@ -485,9 +485,10 @@ void MacEngine::finishInstance(const Instance& inst) {
   for (NodeId j : pNbrs) guard_.recompute(j);
   // Termination also caps this instance's cover intervals at termAt —
   // including covers held by receivers the sender can no longer reach
-  // (their link dropped, or the sender crashed, since the delivery).
-  // Static topologies never add such extras: deliveredTo is always a
-  // subset of the sender's E' neighborhood there.
+  // (their link dropped, or the sender crashed, since the delivery), or
+  // never could: with plan validation off a scheduler may deliver
+  // outside G'.  On a static topology with validated plans there are
+  // no such extras.
   for (NodeId j : inst.deliveredTo) {
     if (!dual_->gPrime().hasEdge(inst.sender, j)) guard_.recompute(j);
   }

@@ -1,7 +1,6 @@
 #include "mac/progress_guard.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "mac/engine.h"
 
@@ -9,12 +8,6 @@ namespace ammb::mac {
 
 ProgressGuard::ProgressGuard(MacEngine& engine, NodeId n)
     : engine_(engine), states_(static_cast<std::size_t>(n)) {}
-
-void ProgressGuard::onBcast(InstanceId id) {
-  AMMB_ASSERT(id == static_cast<InstanceId>(termAt_.size()));
-  termAt_.push_back(kTimeNever);
-  addNeeds(id);
-}
 
 void ProgressGuard::addNeeds(InstanceId id) {
   const InstanceRecord& rec = engine_.records_[static_cast<std::size_t>(id)];
@@ -41,12 +34,14 @@ void ProgressGuard::addNeeds(InstanceId id) {
   }
 }
 
-void ProgressGuard::onTerminate(InstanceId id) {
+void ProgressGuard::onTerminate(InstanceId id,
+                                const std::vector<NodeId>& receivers) {
   const InstanceRecord& rec = engine_.records_[static_cast<std::size_t>(id)];
-  termAt_[static_cast<std::size_t>(id)] = rec.termAt;
-  while (oldestLive_ < static_cast<InstanceId>(termAt_.size()) &&
-         termAt_[static_cast<std::size_t>(oldestLive_)] != kTimeNever) {
-    ++oldestLive_;
+  for (NodeId j : receivers) {
+    State& st = states_[static_cast<std::size_t>(j)];
+    --st.liveCovers;
+    AMMB_DCHECK(st.liveCovers >= 0);
+    st.deadCoverEnd = std::max(st.deadCoverEnd, rec.termAt - 1);
   }
   // The windows were added at the sender's G-neighbors of the current
   // epoch (a boundary re-adds them), so that span holds all of them.
@@ -63,119 +58,69 @@ void ProgressGuard::clearNeeds() {
   for (State& st : states_) st.needs.clear();
 }
 
-void ProgressGuard::onReceive(NodeId receiver, InstanceId instance, Time at) {
-  states_[static_cast<std::size_t>(receiver)].covers.push_back(
-      Cover{at, instance});
-  if (termAt_[static_cast<std::size_t>(instance)] == kTimeNever) {
-    // Fast path: the new cover is [at - fprog, +inf) while `instance`
-    // is live, and the guard invariant keeps every uncovered window
-    // start >= now - fprog (an older uncovered start would have had
-    // its deadline fire — and force a covering delivery — already).
-    // The whole need set is therefore covered: stand down without the
-    // interval scan.  pruneCovers runs as recompute() would have, so
-    // the covers vector evolves identically on both paths.
-    pruneCovers(receiver);
+void ProgressGuard::onReceive(NodeId receiver, InstanceId instance) {
+  State& st = states_[static_cast<std::size_t>(receiver)];
+  const InstanceRecord& rec =
+      engine_.records_[static_cast<std::size_t>(instance)];
+  if (!rec.terminated()) {
+    // The new cover reaches from now - fprog to +inf while `instance`
+    // is live, so the whole need set is covered: stand down.
+    ++st.liveCovers;
     commit(receiver, kTimeNever);
     return;
   }
-  // Terminated instance (epsAbort grace delivery): the cover is capped
-  // at termAt - 1, no shortcut applies.
+  // epsAbort grace delivery: the cover ends at termAt - 1.
+  st.deadCoverEnd = std::max(st.deadCoverEnd, rec.termAt - 1);
   recompute(receiver);
 }
 
 Time ProgressGuard::earliestUncovered(NodeId receiver) const {
-  const Time fprog = engine_.params().fprog;
   const State& st = states_[static_cast<std::size_t>(receiver)];
-
-  // One merged pass over the need windows (sorted by start) and the
-  // covers (sorted by start, being in receive order).  Invariant: every
-  // need point below t is covered, and every consumed cover ends below
-  // t — so the next cover either contains t, ends below it, or starts
-  // after it, in which case no cover contains t.
-  Time t = std::numeric_limits<Time>::min();
-  std::size_t next = 0;
+  if (st.liveCovers > 0) return kTimeNever;
+  // Everything below `from` is covered (see the header comment), and
+  // nothing from it on.  Windows are sorted by lo, so max(lo, from)
+  // never decreases along the scan: the first window that reaches it
+  // holds the earliest uncovered start.
+  const Time from = std::max(engine_.now() - engine_.params().fprog,
+                             st.deadCoverEnd + 1);
   for (const Need& nd : st.needs) {
-    t = std::max(t, nd.lo);
-    while (t <= nd.hi) {
-      if (next == st.covers.size()) return t;
-      const Cover& c = st.covers[next];
-      if (c.rcvAt - fprog > t) return t;
-      ++next;
-      const Time term = termAt_[static_cast<std::size_t>(c.instance)];
-      if (term == kTimeNever) return kTimeNever;  // covers t onwards
-      t = std::max(t, term);                      // covers up to term - 1
-    }
+    const Time t = std::max(nd.lo, from);
+    if (t <= nd.hi) return t;
   }
   return kTimeNever;
 }
 
 void ProgressGuard::recompute(NodeId receiver) {
-  pruneCovers(receiver);
   commit(receiver, earliestUncovered(receiver));
 }
 
 void ProgressGuard::commit(NodeId receiver, Time t) {
   State& st = states_[static_cast<std::size_t>(receiver)];
+  // Standing down or moving a deadline leaves its queued event to fire
+  // as a no-op (see onDeadline).
   if (t == kTimeNever) {
-    if (st.armedEvent != 0) {
-      // No obligation left; stand down.  The queued deadline event is
-      // not cancelled: when it fires, onDeadline re-validates against
-      // the guard state of that moment.
-      st.armedDeadline = kTimeNever;
-      st.armedEvent = 0;
-    }
+    st.armedDeadline = kTimeNever;
     return;
   }
   const Time deadline = t + engine_.params().fprog;
-  AMMB_ASSERT(deadline >= engine_.now());
-  if (st.armedEvent != 0 && st.armedDeadline == deadline) return;
+  if (st.armedDeadline == deadline) return;
   st.armedDeadline = deadline;
-  st.armedEvent = 0;
-  // Note: superseded events are left to fire and re-validate; this
-  // avoids handle-reuse bookkeeping and keeps the guard reentrant.
-  sim::EventQueue& queue = engine_.queue_;
-  st.armedEvent =
-      queue.schedule(deadline, [this, receiver] { onDeadline(receiver); });
+  engine_.queue_.schedule(deadline,
+                          [this, receiver] { onDeadline(receiver); });
 }
 
 void ProgressGuard::onDeadline(NodeId receiver) {
   State& st = states_[static_cast<std::size_t>(receiver)];
-  st.armedEvent = 0;
+  // Stood down, or moved to another tick.
+  if (st.armedDeadline != engine_.now()) return;
   st.armedDeadline = kTimeNever;
+  // Every change to the need or cover set recomputes the deadline, so
+  // an armed deadline that is reached is still owed.
   const Time t = earliestUncovered(receiver);
-  if (t == kTimeNever) return;  // obligation satisfied meanwhile
-  const Time deadline = t + engine_.params().fprog;
-  const Time now = engine_.now();
-  if (deadline > now) {
-    recompute(receiver);
-    return;
-  }
-  AMMB_ASSERT(deadline == now);
+  AMMB_ASSERT(t != kTimeNever && t + engine_.params().fprog == engine_.now());
+  // The forced receive comes from a live instance, so its onReceive
+  // leaves the receiver covered and stood down.
   engine_.forceProgressDelivery(receiver);
-  recompute(receiver);
-}
-
-void ProgressGuard::pruneCovers(NodeId receiver) {
-  State& st = states_[static_cast<std::size_t>(receiver)];
-  if (st.covers.size() < st.pruneAt) return;
-  // No live or future need window starts before the floor (see the
-  // header comment), so finite covers ending before it are dead.
-  Time floor = engine_.now() - engine_.params().fack;
-  if (oldestLive_ < static_cast<InstanceId>(termAt_.size())) {
-    floor = std::min(
-        floor,
-        engine_.records_[static_cast<std::size_t>(oldestLive_)].bcastAt);
-  }
-  // In-place compaction (order-preserving, allocation-free); the
-  // retained capacity is unobservable in results.
-  std::size_t out = 0;
-  for (const Cover& c : st.covers) {
-    const Time term = termAt_[static_cast<std::size_t>(c.instance)];
-    if (term != kTimeNever && term - 1 < floor) continue;
-    st.covers[out++] = c;
-  }
-  st.covers.resize(out);
-  st.pruneAt = std::max(kMinPrune, 2 * out);
 }
 
 }  // namespace ammb::mac

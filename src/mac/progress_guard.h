@@ -30,42 +30,39 @@
 // epoch boundary rebuilds the live lists — and dropped when the
 // instance terminates.  Every new window starts at now(), at or after
 // every window already held, so appending keeps each receiver's list
-// sorted by start; the rebuild inserts in order.  Termination times
-// live in one dense array indexed by instance id (kTimeNever while
-// live), so reading a cover's end never touches an InstanceRecord.
-// One evaluation is then a single merged pass over the sorted need
-// windows and the receive-ordered covers: O(live windows + covers).
+// sorted by start; the rebuild inserts in order.
 //
-// Cover pruning.  A cover that ends before every window start the
-// receiver can still be asked for is dead weight.  Every such start
-// lies at or after
+// Two numbers instead of a cover list.  Every uncovered need point
+// lies at or after t0 = now - Fprog: an older one would have had its
+// deadline, which is before now, fire and force a covering delivery.
+// Every cover starts at its receive time - Fprog, at or before t0.  So
+// from t0 upward the union of j's covers is [t0, +inf) while j holds a
+// receive from a still-live instance, and [t0, E] otherwise, where E
+// is the largest termAt - 1 over j's receives from terminated
+// instances (an empty set when E < t0).  A receiver therefore keeps a
+// count of its receives from live instances and the one end E, and an
+// evaluation is a scan of its need windows that touches no per-receive
+// state.  A termination moves each receiver the instance delivered to
+// from the count to E; an epsAbort grace receive, from an instance
+// already terminated, only raises E.
 //
-//   floor = min(now - Fack, bcastAt of the oldest live instance):
+// Superseded deadlines.  A deadline event is never cancelled: when a
+// recompute stands a deadline down or moves it, the old event stays
+// queued and returns at once when it fires.  An event that fires at
+// the armed deadline acts for it even if it was scheduled for an
+// earlier arming, and the armed event then finds nothing armed.
+// Cancelling would change traces: such an older event fires ahead of
+// the same-tick events scheduled after it, and its replacement would
+// not.
 //
-// a live instance's windows start at or after its bcastAt (even after
-// an epoch rebuild re-clips them), and an instance born later starts
-// its windows at its own bcast, which is at or after now.  Ids are
-// issued in bcast order, so the oldest live instance is the first id
-// whose termination time is still kTimeNever; a cursor over the dense
-// array tracks it.  A cover ending before the floor can therefore
-// never contain a need point, and dropping it cannot change any
-// evaluation's result, whenever pruning runs.  With plan validation on
-// every live instance acks within Fack of its bcast, so its bcastAt is
-// at least now - Fack and the floor is just now - Fack; the second
-// term matters when a mutation fixture keeps instances live longer.
-// Pruning runs when a receiver's cover list reaches twice the length
-// the previous prune left (at least kMinPrune), which keeps the list
-// proportional to its live covers at amortized O(1) cost per receive.
-//
-// The same interval algebra, applied offline to a finished trace, is
-// the progress-bound check in trace_checker.h.
+// The progress-bound check in trace_checker.h also judges traces the
+// guard did not produce, so it cannot assume the invariant and keeps
+// the full interval algebra.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "common/types.h"
-#include "sim/event_queue.h"
 
 namespace ammb::mac {
 
@@ -76,14 +73,11 @@ class ProgressGuard {
  public:
   ProgressGuard(MacEngine& engine, NodeId n);
 
-  /// Registers freshly planned instance `id`: its (live) termination
-  /// slot, and a need window at each current G-neighbor of its sender.
-  void onBcast(InstanceId id);
-
-  /// Records instance `id`'s termination (its record's termAt) and
-  /// drops its need windows.  Runs before the neighborhood's deadlines
-  /// are recomputed.
-  void onTerminate(InstanceId id);
+  /// Moves the covers of instance `id` (its record's termAt is set) at
+  /// `receivers`, the nodes it delivered to, from live to terminated,
+  /// and drops its need windows.  Runs before the neighborhood's
+  /// deadlines are recomputed.
+  void onTerminate(InstanceId id, const std::vector<NodeId>& receivers);
 
   /// Epoch boundary: drops every cached need window.  The engine then
   /// re-adds the windows of each live instance with addNeeds(), under
@@ -91,25 +85,19 @@ class ProgressGuard {
   void clearNeeds();
 
   /// Adds instance `id`'s need windows at its sender's current
-  /// G-neighbors.
+  /// G-neighbors: at bcast, and for each live instance after
+  /// clearNeeds().
   void addNeeds(InstanceId id);
 
-  /// Records a receive event at `receiver` caused by `instance`.
-  void onReceive(NodeId receiver, InstanceId instance, Time at);
+  /// Records a receive at `receiver`, now, caused by `instance`.
+  void onReceive(NodeId receiver, InstanceId instance);
 
   /// Re-evaluates the deadline for `receiver` (called after instance
-  /// birth, termination, or a receive affecting `receiver`): prunes its
-  /// dead covers, then arms, re-arms or stands down its deadline.
+  /// birth, termination, or a receive affecting `receiver`): arms,
+  /// re-arms or stands down its deadline.
   void recompute(NodeId receiver);
 
  private:
-  /// Smallest cover-list length that triggers a prune.
-  static constexpr std::size_t kMinPrune = 16;
-
-  struct Cover {
-    Time rcvAt;
-    InstanceId instance;
-  };
   /// One live instance's window of obligated starts, [lo, hi].
   struct Need {
     InstanceId instance;
@@ -117,11 +105,13 @@ class ProgressGuard {
     Time hi;
   };
   struct State {
-    std::vector<Need> needs;    ///< sorted by lo
-    std::vector<Cover> covers;  ///< in receive order, so sorted by start
-    std::size_t pruneAt = kMinPrune;
-    sim::EventHandle armedEvent = 0;
-    Time armedDeadline = kTimeNever;
+    std::vector<Need> needs;  ///< sorted by lo
+    /// Receives at this node from instances that are still live.
+    std::int32_t liveCovers = 0;
+    /// E: the largest termAt - 1 over receives from terminated
+    /// instances (-1 when there are none, below every need window).
+    Time deadCoverEnd = -1;
+    Time armedDeadline = kTimeNever;  ///< kTimeNever when none is armed
   };
 
   /// Earliest uncovered window start in the need set, or kTimeNever.
@@ -132,18 +122,11 @@ class ProgressGuard {
   /// event sequence number, so callers keep a fixed receiver order.
   void commit(NodeId receiver, Time earliestUncovered);
 
-  /// Fires when an armed deadline is reached.
+  /// Fires when a deadline event scheduled for `receiver` is reached.
   void onDeadline(NodeId receiver);
-
-  /// Drops covers that can no longer matter (see the header comment).
-  void pruneCovers(NodeId receiver);
 
   MacEngine& engine_;
   std::vector<State> states_;
-  /// Termination time per instance id; kTimeNever while live.
-  std::vector<Time> termAt_;
-  /// First id whose termAt_ is still kTimeNever (termAt_.size() if none).
-  InstanceId oldestLive_ = 0;
 };
 
 }  // namespace ammb::mac

@@ -117,6 +117,11 @@ struct SweepSpec {
   /// the runner's keepRunRecords).
   bool keepCanonicalTraces = false;
   Time maxTime = kTimeNever;
+  /// Cap on the kernel events one run executes: every event the queue
+  /// pops, the progress guard's deadlines (stood-down ones included)
+  /// as well as deliveries, acks and timers.  Where a capped run stops
+  /// therefore moves whenever the engine schedules its internal events
+  /// differently, so results should not rest on it.
   std::uint64_t maxEvents = 100'000'000;
   /// BMMB queue discipline (consulted for kBmmb only).
   core::QueueDiscipline discipline = core::QueueDiscipline::kFifo;

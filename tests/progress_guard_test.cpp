@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "check/fuzzer.h"
+#include "check/golden.h"
 #include "core/experiment.h"
 #include "graph/generators.h"
 #include "mac/engine.h"
@@ -222,16 +225,16 @@ TEST(ProgressGuard, AbortCancelsTheObligation) {
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
-// Cover pruning must never drop a cover that a live instance can still
-// need.  With plan validation off, a scheduler may keep an instance
-// live past Fack: here even senders ack at bcast + 2 Fack, odd senders
-// almost at once, every G delivery waits for the ack, and the guard's
-// forced deliveries come from the instance that terminates first.  A
-// prune floor of now - Fack then falls after the window starts of the
-// long-lived instances, and dropping the covers behind it would surface
-// an uncovered window start whose deadline has already passed.  The
-// run must drain cleanly, with the over-long acks as the only axiom
-// the checker flags.
+// Covers of instances that stay live beyond Fack must keep covering.
+// With plan validation off, a scheduler may keep an instance live past
+// Fack: here even senders ack at bcast + 2 Fack, odd senders almost at
+// once, every G delivery waits for the ack, and the guard's forced
+// deliveries come from the instance that terminates first.  A guard
+// that let a receive's cover lapse Fack after it — or lost track of
+// which covering instances are still live — would surface an
+// uncovered window start whose deadline has already passed.  The run
+// must drain cleanly, with the over-long acks as the only axiom the
+// checker flags.
 TEST(ProgressGuard, PruningKeepsCoversOfInstancesLiveBeyondFack) {
   class SkewedAcks : public Scheduler {
    public:
@@ -371,10 +374,10 @@ TEST(ProgressGuard, RecoveredReceiverIsReObligedFromItsRecovery) {
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
-// Honest runs whose receivers hear more than 128 receives on average —
-// the regime where cover pruning fires over and over — pinned to trace
+// Honest runs whose receivers hear more than 128 receives on average,
+// each receive a cover the guard must account for, pinned to trace
 // hashes and forced-delivery counts recorded with a guard that rebuilt
-// its need set on every evaluation and pruned only at 128 covers.
+// its need set on every evaluation and kept a list of covers.
 TEST(ProgressGuard, DenseReceiversKeepTheirTracesAcrossPruning) {
   struct Pin {
     core::SchedulerKind scheduler;
@@ -415,6 +418,115 @@ TEST(ProgressGuard, DenseReceiversKeepTheirTracesAcrossPruning) {
         << what;
     EXPECT_EQ(out.traceHash, pin.traceHash) << what;
     EXPECT_EQ(out.result.stats.forcedRcvs, pin.forcedRcvs) << what;
+  }
+}
+
+TEST(ProgressGuard, AbortGraceReceiveCoversUpToTheAbort) {
+  // Node 2 (a G'-only neighbor of receiver 1) broadcasts A at t = 0 and
+  // aborts it at 4; A's delivery to node 1, planned for 6, lands in the
+  // epsAbort grace window and covers [6 - Fprog, 4 - 1] = [2, 3].  Node
+  // 0 (a G-neighbor) broadcasts B at 2 with its delivery held back to
+  // the ack, so node 1 is owed progress from 2.  Without the grace
+  // cover the guard would force at 2 + Fprog = 6; with it, the first
+  // uncovered start is 4 and B is forced at 8.
+  class GraceScheduler : public Scheduler {
+   public:
+    DeliveryPlan planBcast(const Instance& inst) override {
+      DeliveryPlan plan;
+      plan.ackAt = inst.bcastAt + 32;
+      plan.deliveries.push_back(
+          {1, inst.sender == 2 ? inst.bcastAt + 6 : plan.ackAt});
+      return plan;
+    }
+  };
+  class Script : public Process {
+   public:
+    void onWake(Context& ctx) override {
+      if (ctx.id() == 2) ctx.bcast(Packet{});
+      if (ctx.id() != 1) ctx.setTimerAt(ctx.id() == 2 ? 4 : 2);
+    }
+    void onTimer(Context& ctx, TimerId) override {
+      if (ctx.id() == 2) ctx.abortBcast();
+      if (ctx.id() == 0) ctx.bcast(Packet{});
+    }
+  };
+  graph::Graph g(3);
+  g.addEdge(0, 1);
+  g.finalize();
+  graph::Graph gp(3);
+  gp.addEdge(0, 1);
+  gp.addEdge(1, 2);
+  gp.finalize();
+  const graph::DualGraph topo(std::move(g), std::move(gp));
+  auto params = stdParams(4, 32);
+  params.variant = ModelVariant::kEnhanced;
+  params.epsAbort = 3;
+  MacEngine engine(topo, params, std::make_unique<GraceScheduler>(),
+                   [](NodeId) { return std::make_unique<Script>(); }, 1);
+  engine.run();
+  EXPECT_EQ(rcvTimesAt(engine, 1), (std::vector<Time>{6, 8}));
+  EXPECT_EQ(engine.stats().forcedRcvs, 1u);
+  EXPECT_EQ(engine.stats().aborts, 1u);
+  const auto check = checkTrace(topo, params, engine.trace());
+  EXPECT_TRUE(check.ok) << check.summary();
+}
+
+// Enhanced-model FMMB with epsAbort 3 receives from instances after
+// their abort: the one path on which a receive ends a cover at the
+// instance's termination rather than covering from now on.  The runs
+// are pinned to trace hashes and forced-delivery counts recorded with a
+// guard that kept every receive's cover in a per-receiver list.
+TEST(ProgressGuard, AbortGraceReceivesKeepTheirTraces) {
+  struct Pin {
+    bool drift;
+    std::uint64_t traceHash;
+    std::uint64_t forcedRcvs;
+  };
+  const Pin pins[] = {
+      {false, 0x36e402332603239full, 0},
+      {true, 0x454aab29271cead5ull, 0},
+  };
+  for (const Pin& pin : pins) {
+    const std::string what = pin.drift ? "drift" : "static";
+    Rng rng(9);
+    const graph::DualGraph base = gen::greyZoneField(24, 6.0, 1.5, 0.4, rng);
+    core::RunConfig config;
+    config.scheduler = core::SchedulerKind::kRandom;
+    config.seed = 21;
+    config.limits.maxTime = 100'000;
+    if (pin.drift) {
+      config.dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
+      config.dynamics.epochs = 4;
+      config.dynamics.period = 24;
+      config.dynamics.churn = 0.5;
+    }
+    config.mac = testutil::enhParams(4, 64);
+    config.mac.epsAbort = 3;
+    core::Experiment experiment(
+        base, core::fmmbProtocol(core::FmmbParams::make(base.n())),
+        core::workloadRoundRobin(4, base.n()), config);
+    const core::RunResult result = experiment.run();
+    ASSERT_TRUE(result.solved) << what;
+
+    std::vector<bool> aborted;
+    std::size_t graceRcvs = 0;
+    for (const auto& rec : experiment.trace().records()) {
+      const auto id = static_cast<std::size_t>(rec.instance);
+      if (rec.kind == sim::TraceKind::kAbort) {
+        if (aborted.size() <= id) aborted.resize(id + 1, false);
+        aborted[id] = true;
+      }
+      if (rec.kind == sim::TraceKind::kRcv && id < aborted.size() &&
+          aborted[id]) {
+        ++graceRcvs;
+      }
+    }
+    EXPECT_GT(graceRcvs, 0u) << what;
+    const auto check = checkTrace(experiment.view(), config.mac,
+                                  experiment.trace(), result.endTime);
+    EXPECT_TRUE(check.ok) << what << ": " << check.summary();
+    EXPECT_EQ(check::traceHash(experiment.trace()), pin.traceHash) << what;
+    EXPECT_EQ(result.stats.forcedRcvs, pin.forcedRcvs) << what;
   }
 }
 
