@@ -2,7 +2,12 @@
 
 #include <cstdio>
 
+#include "common/error.h"
+#include "common/parse.h"
+
 namespace ammb::core {
+
+using net::NetBackendParams;
 
 std::string ExecutionBackend::label() const {
   if (kind == Kind::kSim) return "sim";
@@ -21,22 +26,14 @@ ExecutionBackend ExecutionBackend::fromLabel(const std::string& label) {
   const std::string prefix = "net:";
   if (label.rfind(prefix, 0) == 0) {
     NetBackendParams params;
-    long long tickUs = 0;
-    long long ackDelay = 0;
-    long long jitterUs = 0;
-    char trailing = '\0';
-    const int matched = std::sscanf(
-        label.c_str() + prefix.size(), "%d,%lf,%lld,%d,%lld,%lld%c",
-        &params.basePort, &params.loss, &tickUs, &params.gPrimeAttempts,
-        &ackDelay, &jitterUs, &trailing);
-    AMMB_REQUIRE(matched == 6,
+    AMMB_REQUIRE(parseNumbers(std::string_view(label).substr(prefix.size()),
+                              params.basePort, params.loss, params.tickUs,
+                              params.gPrimeAttempts, params.ackDelayTicks,
+                              params.jitterUs),
                  "unknown execution backend '" + label +
                      "' (expected \"sim\", \"net\" or \"net:<basePort>,"
                      "<loss>,<tickUs>,<gPrimeAttempts>,<ackDelayTicks>,"
                      "<jitterUs>\")");
-    params.tickUs = tickUs;
-    params.ackDelayTicks = static_cast<Time>(ackDelay);
-    params.jitterUs = jitterUs;
     return netWith(params);
   }
   throw Error("unknown execution backend '" + label +

@@ -169,12 +169,7 @@ Experiment::Experiment(const graph::DualGraph& topology,
     AMMB_REQUIRE(!config_.scheduler.factory,
                  "custom schedulers have no meaning on the net backend");
     net::NetConfig netConfig;
-    netConfig.basePort = config_.backend.net.basePort;
-    netConfig.loss = config_.backend.net.loss;
-    netConfig.tickUs = config_.backend.net.tickUs;
-    netConfig.gPrimeAttempts = config_.backend.net.gPrimeAttempts;
-    netConfig.ackDelayTicks = config_.backend.net.ackDelayTicks;
-    netConfig.jitterUs = config_.backend.net.jitterUs;
+    netConfig.backend = config_.backend.net;
     netConfig.seed = config_.seed;
     netConfig.recordTrace = config_.recordTrace;
     netConfig.traceMode = config_.traceMode;

@@ -111,7 +111,7 @@ MacEngine::MacEngine(std::optional<graph::TopologyView> owned,
 
   nodes_.reserve(static_cast<std::size_t>(n()));
   for (NodeId v = 0; v < n(); ++v) {
-    NodeState ns{factory(v), nullptr, kNoInstance, {}};
+    NodeState ns{factory(v), nullptr, kNoInstance};
     AMMB_REQUIRE(ns.process != nullptr, "process factory returned null");
     nodes_.push_back(std::move(ns));
   }
@@ -206,9 +206,14 @@ const Process& MacEngine::processAt(NodeId node) const {
   return *state(node).process;
 }
 
-const std::vector<InstanceId>& MacEngine::liveInstancesNear(
-    NodeId node) const {
-  return state(node).liveNear;
+std::vector<InstanceId> MacEngine::liveInstancesNear(NodeId node) const {
+  std::vector<InstanceId> live;
+  for (NodeId s : dual_->gPrime().neighbors(node)) {
+    const InstanceId id = state(s).current;
+    if (id != kNoInstance) live.push_back(id);
+  }
+  std::sort(live.begin(), live.end());
+  return live;
 }
 
 // --- Context services -------------------------------------------------------
@@ -266,9 +271,6 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
       queue_.schedule(plan.ackAt, [this, id] { onAckEvent(id); });
 
   ns.current = id;
-  for (NodeId j : dual_->gPrime().neighbors(node)) {
-    state(j).addLive(id);
-  }
   // The new instance changes the need set of the sender's G-neighbors.
   guard_.addNeeds(id);
   for (NodeId j : gNbrs) guard_.recompute(j);
@@ -474,15 +476,12 @@ void MacEngine::finishInstance(const Instance& inst) {
   guard_.onTerminate(inst.id, inst.deliveredTo);
 
   // The instance no longer contends anywhere; coverage intervals it
-  // provided are now capped at termAt, so re-evaluate the neighborhood.
-  // Live-list membership always tracks the *current* epoch's E'
-  // neighborhood (epoch boundaries rebuild it), so the current G'
-  // span covers exactly the nodes holding this instance.
-  const graph::Graph::Span pNbrs = dual_->gPrime().neighbors(inst.sender);
-  for (NodeId j : pNbrs) {
-    state(j).removeLive(inst.id);
+  // provided are now capped at termAt, so re-evaluate the neighborhood:
+  // the current epoch's G' span of the sender holds every node the
+  // instance contended at.
+  for (NodeId j : dual_->gPrime().neighbors(inst.sender)) {
+    guard_.recompute(j);
   }
-  for (NodeId j : pNbrs) guard_.recompute(j);
   // Termination also caps this instance's cover intervals at termAt —
   // including covers held by receivers the sender can no longer reach
   // (their link dropped, or the sender crashed, since the delivery), or
@@ -560,20 +559,13 @@ void MacEngine::onEpochBoundary(int e) {
     if (dropped) releaseIfSettled(id);
   }
 
-  // Rebuild the live-instance lists and the guard's need windows from
-  // the new neighborhoods: a live instance contends exactly at its
-  // sender's current E' neighbors and obliges its current G-neighbors.
-  for (NodeState& ns : nodes_) {
-    ns.liveNear.clear();
-  }
+  // Rebuild the guard's need windows from the new neighborhoods: a
+  // live instance obliges its sender's current G-neighbors.
   guard_.clearNeeds();
   for (InstanceId id : held) {
-    const InstanceRecord& rec = records_[static_cast<std::size_t>(id)];
-    if (rec.terminated()) continue;
-    for (NodeId j : dual_->gPrime().neighbors(rec.sender)) {
-      state(j).addLive(id);
+    if (!records_[static_cast<std::size_t>(id)].terminated()) {
+      guard_.addNeeds(id);
     }
-    guard_.addNeeds(id);
   }
 
   // Need sets may have shrunk (links gone) or gained a later live-since
@@ -627,14 +619,12 @@ void MacEngine::onEpochBoundary(int e) {
 }
 
 void MacEngine::forceProgressDelivery(NodeId receiver) {
-  std::vector<InstanceId> candidates;
-  for (InstanceId id : state(receiver).liveNear) {
-    if (!records_[static_cast<std::size_t>(id)].terminated() &&
-        !body(id).hasDeliveredTo(receiver)) {
-      candidates.push_back(id);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
+  std::vector<InstanceId> candidates = liveInstancesNear(receiver);
+  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
+                                  [this, receiver](InstanceId id) {
+                                    return body(id).hasDeliveredTo(receiver);
+                                  }),
+                   candidates.end());
   AMMB_ASSERT(!candidates.empty());
   const InstanceId chosen =
       scheduler_->pickProgressDelivery(receiver, candidates);

@@ -199,9 +199,17 @@ class MacEngine : public MacLayer {
   /// RNG stream reserved for the scheduler.
   Rng& schedulerRng() { return schedulerRng_; }
 
-  /// Live instances whose sender is a G'-neighbor of `node` (i.e., the
-  /// instances that may legally deliver to `node` right now).
-  const std::vector<InstanceId>& liveInstancesNear(NodeId node) const;
+  /// `node`'s unterminated broadcast, or kNoInstance.  A node has at
+  /// most one, so the live instances that may legally deliver to a
+  /// node j right now are exactly currentInstance(s) for each s in the
+  /// current epoch's G'(j).
+  InstanceId currentInstance(NodeId node) const {
+    return state(node).current;
+  }
+  /// Live instances whose sender is a G'-neighbor of `node`, in id
+  /// order (i.e., the instances that may legally deliver to `node`
+  /// right now).
+  std::vector<InstanceId> liveInstancesNear(NodeId node) const;
 
  private:
   friend class ProgressGuard;
@@ -214,22 +222,6 @@ class MacEngine : public MacLayer {
     /// the 2.5 KB engine in every node).
     std::unique_ptr<Rng> rng;
     InstanceId current = kNoInstance;  ///< outstanding bcast, if any
-    std::vector<InstanceId> liveNear;  ///< live instances from E' nbrs
-
-    void addLive(InstanceId id) { liveNear.push_back(id); }
-    /// Swap-removes `id` (live lists hold at most the node's E' degree
-    /// in instances; the scan beats the per-node hash index it
-    /// replaced, and frees its allocation).  The swap target position
-    /// is the deterministic insertion position, so the list's order
-    /// history is identical to the old index-based removal.
-    void removeLive(InstanceId id) {
-      for (std::size_t pos = 0; pos < liveNear.size(); ++pos) {
-        if (liveNear[pos] != id) continue;
-        if (pos + 1 != liveNear.size()) liveNear[pos] = liveNear.back();
-        liveNear.pop_back();
-        return;
-      }
-    }
   };
 
   // Context services (MacLayer) -------------------------------------------

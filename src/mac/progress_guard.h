@@ -24,11 +24,10 @@
 //
 // Cached need windows.  A window depends only on its instance's
 // bcastAt and plannedAck and on its link's live-since instant, and all
-// three are fixed from the moment the instance joins j's live list
-// until it leaves it or the epoch changes.  So each (receiver, live
-// instance) window is computed once — at bcast, and again when an
-// epoch boundary rebuilds the live lists — and dropped when the
-// instance terminates.  Every new window starts at now(), at or after
+// three are fixed from the instance's bcast until it terminates or the
+// epoch changes.  So each (receiver, live instance) window is computed
+// once — at bcast, and again when an epoch boundary rebuilds the
+// windows — and dropped when the instance terminates.  Every new window starts at now(), at or after
 // every window already held, so appending keeps each receiver's list
 // sorted by start; the rebuild inserts in order.
 //

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/parse.h"
+
 namespace ammb::mac {
 
 std::string MacRealization::label() const {
@@ -20,18 +22,13 @@ MacRealization MacRealization::fromLabel(const std::string& label) {
   const std::string prefix = "csma:";
   if (label.rfind(prefix, 0) == 0) {
     CsmaParams params;
-    long long slot = 0;
-    char trailing = '\0';
-    const int matched = std::sscanf(
-        label.c_str() + prefix.size(), "%lld,%d,%d,%d,%lf%c", &slot,
-        &params.cwMin, &params.cwMax, &params.maxRetries, &params.pCapture,
-        &trailing);
-    AMMB_REQUIRE(matched == 5,
+    AMMB_REQUIRE(parseNumbers(std::string_view(label).substr(prefix.size()),
+                              params.slot, params.cwMin, params.cwMax,
+                              params.maxRetries, params.pCapture),
                  "unknown MAC realization '" + label +
                      "' (expected \"abstract\", \"csma\" or "
                      "\"csma:<slot>,<cwMin>,<cwMax>,<maxRetries>,"
                      "<pCapture>\")");
-    params.slot = static_cast<Time>(slot);
     return csmaWith(params);
   }
   throw Error("unknown MAC realization '" + label +

@@ -17,6 +17,8 @@ namespace ammb::net {
 
 namespace {
 
+/// Initial retransmission timeout; it doubles on every retry.
+constexpr std::int64_t kInitialRtoUs = 2000;
 /// Backoff ceiling: a lost link never waits longer than this between
 /// attempts, so recovery latency stays bounded on lossy runs.
 constexpr std::int64_t kMaxRtoUs = 500'000;
@@ -33,18 +35,13 @@ NetEngine::NetEngine(const graph::TopologyView& view, mac::MacParams params,
     : view_(&view),
       params_(params),
       config_(config),
-      faults_(config.seed, config.loss, config.jitterUs),
+      faults_(config.seed, config.backend.loss, config.backend.jitterUs),
       trace_(config.recordTrace, config.traceMode) {
   params_.validate();
+  config_.backend.validate();
   AMMB_REQUIRE(!view.dynamic(),
                "the net backend requires a static (single-epoch) topology");
   AMMB_REQUIRE(factory != nullptr, "the net backend needs a process factory");
-  AMMB_REQUIRE(config_.tickUs >= 1, "net tickUs must be at least 1");
-  AMMB_REQUIRE(config_.rtoUs >= 1, "net rtoUs must be at least 1");
-  AMMB_REQUIRE(config_.gPrimeAttempts >= 1,
-               "net gPrimeAttempts must be at least 1");
-  AMMB_REQUIRE(config_.ackDelayTicks >= 0,
-               "net ackDelayTicks must be non-negative");
   const NodeId nn = view.n();
   AMMB_REQUIRE(nn >= 1, "the net backend needs at least one node");
   SeedSequence seeds(config_.seed);
@@ -92,7 +89,9 @@ std::int64_t NetEngine::elapsedUs() const {
       .count();
 }
 
-Time NetEngine::nowTicks() const { return elapsedUs() / config_.tickUs; }
+Time NetEngine::nowTicks() const {
+  return elapsedUs() / config_.backend.tickUs;
+}
 
 Time NetEngine::now() const {
   if (!started_.load()) return 0;
@@ -116,9 +115,9 @@ sim::RunStatus NetEngine::run(Time timeLimit, std::uint64_t maxEvents) {
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(
-        config_.basePort == 0
+        config_.backend.basePort == 0
             ? 0
-            : static_cast<std::uint16_t>(config_.basePort + v));
+            : static_cast<std::uint16_t>(config_.backend.basePort + v));
     AMMB_REQUIRE(::bind(fd, reinterpret_cast<sockaddr*>(&addr),
                         sizeof(addr)) == 0,
                  "net backend: bind() failed (port in use?)");
@@ -161,14 +160,15 @@ sim::RunStatus NetEngine::run(Time timeLimit, std::uint64_t maxEvents) {
 
     const bool hasDeadline =
         timeLimit != kTimeNever &&
-        timeLimit <= std::numeric_limits<std::int64_t>::max() / config_.tickUs;
+        timeLimit <= std::numeric_limits<std::int64_t>::max() /
+                         config_.backend.tickUs;
     const auto verdict = [this] {
       return stopRequested_.load() || drained_ || limitHit_;
     };
     if (hasDeadline) {
       cv_.wait_until(lock,
                      start_ + std::chrono::microseconds(
-                                  timeLimit * config_.tickUs),
+                                  timeLimit * config_.backend.tickUs),
                      verdict);
     } else {
       cv_.wait(lock, verdict);
@@ -252,7 +252,7 @@ void NetEngine::enqueueMessage(NodeId from, NodeId to, bool gLink,
   o.msg.instance = instance;
   o.msg.packet = packet;
   o.gLink = gLink;
-  o.rtoUs = config_.rtoUs;
+  o.rtoUs = kInitialRtoUs;
   o.dueUs = elapsedUs();
   l.outstanding.emplace(o.msg.seq, std::move(o));
   ++totalOutstanding_;
@@ -287,8 +287,8 @@ void NetEngine::sweepLink(NodeId from, NodeId to) {
     ++o.attempt;
     o.dueUs = nowUs + o.rtoUs;
     o.rtoUs = std::min<std::int64_t>(o.rtoUs * 2, kMaxRtoUs);
-    if (!o.gLink &&
-        o.attempt >= static_cast<std::uint32_t>(config_.gPrimeAttempts)) {
+    if (!o.gLink && o.attempt >= static_cast<std::uint32_t>(
+                                     config_.backend.gPrimeAttempts)) {
       // Final best-effort attempt on an unreliable-only link: it goes
       // out below, but nothing waits for its ack.
       exhausted.push_back(seq);
@@ -440,7 +440,8 @@ void NetEngine::scheduleMacAck(InstanceId id) {
   if (inst.ackScheduled) return;
   inst.ackScheduled = true;
   scheduleTask(
-      elapsedUs() + config_.ackDelayTicks * config_.tickUs, [this, id] {
+      elapsedUs() + config_.backend.ackDelayTicks * config_.backend.tickUs,
+      [this, id] {
         if (stopping_) return;
         NetInstance& inst = instances_[static_cast<std::size_t>(id)];
         if (inst.terminated) return;
@@ -517,7 +518,7 @@ TimerId NetEngine::apiSetTimer(NodeId node, Time at) {
   AMMB_REQUIRE(at >= nowTicks(), "timers cannot fire in the past");
   const TimerId id = nextTimer_++;
   activeTimers_.insert(id);
-  scheduleTask(at * config_.tickUs, [this, node, id] {
+  scheduleTask(at * config_.backend.tickUs, [this, node, id] {
     if (stopping_) return;
     if (activeTimers_.erase(id) == 0) return;  // cancelled meanwhile
     mac::Context ctx(*this, node);
@@ -597,13 +598,14 @@ void NetEngine::scheduleNextArrival() {
   }
   arrivalPending_ = true;
   const ArrivalEvent ev = *next;
-  scheduleTask(std::max<std::int64_t>(ev.at * config_.tickUs, elapsedUs()),
-               [this, ev] {
-                 if (stopping_) return;
-                 arrivalPending_ = false;
-                 fireArrive(ev.node, ev.msg);
-                 scheduleNextArrival();
-               });
+  scheduleTask(
+      std::max<std::int64_t>(ev.at * config_.backend.tickUs, elapsedUs()),
+      [this, ev] {
+        if (stopping_) return;
+        arrivalPending_ = false;
+        fireArrive(ev.node, ev.msg);
+        scheduleNextArrival();
+      });
 }
 
 void NetEngine::countEvent() {

@@ -30,7 +30,8 @@
 // with monotone timestamps — checkable by mac::checkTrace and
 // check::checkExecution under phys::measureRealized fitted bounds,
 // just like a CSMA-realized simulation.  Time is real: a tick is
-// NetConfig::tickUs microseconds of wall clock since run() started.
+// NetBackendParams::tickUs microseconds of wall clock since run()
+// started.
 #pragma once
 
 #include <atomic>
@@ -56,29 +57,17 @@
 #include "mac/params.h"
 #include "mac/process.h"
 #include "net/fault.h"
+#include "net/params.h"
 #include "net/wire.h"
 #include "sim/event_queue.h"
 #include "sim/trace.h"
 
 namespace ammb::net {
 
-/// Knobs of the UDP backend (core::NetBackendParams plus run wiring).
+/// A NetEngine's configuration: the backend's knobs plus run wiring.
 struct NetConfig {
-  /// 0 binds ephemeral ports; otherwise node v binds basePort + v.
-  int basePort = 0;
-  /// Per-attempt injected drop probability in [0, 1).
-  double loss = 0.0;
-  /// Wall-clock microseconds per model tick.
-  std::int64_t tickUs = 100;
-  /// Send attempts on E' \ E links (G links retransmit until acked).
-  int gPrimeAttempts = 3;
-  /// Extra delay (ticks) between the last G link-ack and the MAC ack —
-  /// the negative e2e test uses this to manufacture Fack violations.
-  Time ackDelayTicks = 0;
-  /// Injected per-attempt send delay bound (microseconds).
-  std::int64_t jitterUs = 0;
-  /// Initial retransmission timeout (microseconds, doubles per retry).
-  std::int64_t rtoUs = 2000;
+  /// Ports, loss, tick, G'-link attempts and the injected faults.
+  NetBackendParams backend;
   /// Master seed (node RNG streams + fault plan).
   std::uint64_t seed = 1;
   /// Whether to record the sim::Trace.

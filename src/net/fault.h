@@ -20,9 +20,10 @@ namespace ammb::net {
 
 class FaultPlan {
  public:
-  /// `loss` in [0, 1) is the per-attempt drop probability; `jitterUs`
-  /// bounds the extra delay (uniform in [0, jitterUs]) added to
-  /// attempts that survive.
+  /// `loss` is the per-attempt drop probability; `jitterUs` bounds the
+  /// extra delay (uniform in [0, jitterUs]) added to attempts that
+  /// survive.  Both come from a NetBackendParams, whose validate()
+  /// checks their ranges.
   FaultPlan(std::uint64_t seed, double loss, std::int64_t jitterUs);
 
   /// True when this transmission attempt should be suppressed.

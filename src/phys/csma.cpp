@@ -61,8 +61,9 @@ Time PhysScheduler::contentionWindow(int attempt) const {
 
 int PhysScheduler::rivalsAt(NodeId node, InstanceId self) const {
   int rivals = 0;
-  for (InstanceId id : engine_->liveInstancesNear(node)) {
-    if (id != self) ++rivals;
+  for (NodeId s : engine_->topology().gPrime().neighbors(node)) {
+    const InstanceId id = engine_->currentInstance(s);
+    if (id != kNoInstance && id != self) ++rivals;
   }
   return rivals;
 }

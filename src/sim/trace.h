@@ -7,12 +7,13 @@
 // resolves same-tick precedence questions (the model's "precedes"
 // relation), while timestamps feed the Fack/Fprog bound checks.
 //
-// Storage is pluggable (trace_sink.h): the default in-memory vector
-// keeps `records()` random access for tests and tools, while the disk
-// spool bounds resident memory to a small write buffer so checked runs
-// scale with the topology, not the event count.  Consumers attached via
-// attachConsumer() observe every record at commit time — the streaming
-// oracles ride this tee and never need the stored trace at all.
+// The trace stores its records itself, in one of two places: the
+// default in-memory vector keeps `records()` random access for tests
+// and tools, while the disk spool (trace_sink.h) bounds resident memory
+// to a small write buffer so checked runs scale with the topology, not
+// the event count.  Consumers attached via attachConsumer() observe
+// every record as it is added — the streaming oracles ride this and
+// never need the stored trace at all.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "sim/trace_sink.h"
 
 namespace ammb::sim {
 
@@ -88,18 +90,16 @@ struct TraceMode {
   }
 };
 
-/// Observer of records as they are committed (trace_sink.h tee).
+/// Observer of records as they are added to a Trace.
 class TraceConsumer {
  public:
   virtual ~TraceConsumer() = default;
   virtual void onRecord(const TraceRecord& record) = 0;
 };
 
-class TraceSink;
-
-/// An append-only event log over a pluggable sink.  Recording can be
-/// disabled for large benchmark runs (bounds are still enforced online
-/// by the engine).  Move-only: the sink may own an open spool file.
+/// An append-only event log.  Recording can be disabled for large
+/// benchmark runs (bounds are still enforced online by the engine).
+/// Move-only: a spool trace owns an open spool file.
 class Trace {
  public:
   explicit Trace(bool enabled = true, TraceMode mode = {});
@@ -115,17 +115,19 @@ class Trace {
   /// The storage mode this trace was built with.
   const TraceMode& mode() const { return mode_; }
 
-  /// Appends a record (no-op when disabled).
+  /// Stores a record, then hands it to every attached consumer in
+  /// attach order (no-op when disabled).
   void add(const TraceRecord& record) {
     if (!enabled_) return;
-    if (memVec_ != nullptr && !teed_) {
-      memVec_->push_back(record);
-      return;
+    if (spool_ != nullptr) {
+      spool_->append(record);
+    } else {
+      records_.push_back(record);
     }
-    slowAdd(record);
+    for (TraceConsumer* consumer : consumers_) consumer->onRecord(record);
   }
 
-  /// All records in execution order.  Only the in-memory sink supports
+  /// All records in execution order.  Only the in-memory mode supports
   /// random access; throws ammb::Error for spool-backed traces (use
   /// forEach), and returns an empty vector when recording is disabled.
   const std::vector<TraceRecord>& records() const;
@@ -137,24 +139,22 @@ class Trace {
   /// default checking horizon, available without replaying a spool.
   Time lastTime() const;
 
-  /// Replays every stored record in execution order.  For the spool
-  /// sink this flushes the write buffer and streams from disk.
+  /// Replays every stored record in execution order.  A spool flushes
+  /// its write buffer and streams from disk.
   void forEach(const std::function<void(const TraceRecord&)>& fn) const;
 
-  /// Registers a live observer of every subsequently added record
-  /// (commit-order tee; not owned).  No-op when recording is disabled.
+  /// Registers a live observer of every subsequently added record (not
+  /// owned).  No-op when recording is disabled.
   void attachConsumer(TraceConsumer* consumer);
 
  private:
-  void slowAdd(const TraceRecord& record);
-
   bool enabled_;
   TraceMode mode_;
-  std::unique_ptr<TraceSink> sink_;
-  /// Fast-path append target when the sink is the in-memory vector.
-  std::vector<TraceRecord>* memVec_ = nullptr;
-  /// True once a consumer tee wraps the sink (fast path disabled).
-  bool teed_ = false;
+  /// The records of an enabled mem trace.
+  std::vector<TraceRecord> records_;
+  /// The spool of an enabled spool trace, else null.
+  std::unique_ptr<SpoolTraceSink> spool_;
+  std::vector<TraceConsumer*> consumers_;
 };
 
 }  // namespace ammb::sim

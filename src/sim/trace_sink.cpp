@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "sim/trace.h"
 
 namespace ammb::sim {
 
@@ -121,13 +122,6 @@ void SpoolTraceSink::replay(
     if (got == 0) break;
   }
   std::fseek(file_, 0, SEEK_END);
-}
-
-std::unique_ptr<TraceSink> makeTraceSink(const TraceMode& mode) {
-  if (mode.kind == TraceMode::Kind::kSpool) {
-    return std::make_unique<SpoolTraceSink>(mode.bufRecords);
-  }
-  return std::make_unique<MemTraceSink>();
 }
 
 }  // namespace ammb::sim

@@ -25,7 +25,7 @@ namespace ammb {
 namespace {
 
 using core::ExecutionBackend;
-using core::NetBackendParams;
+using net::NetBackendParams;
 
 namespace gen = graph::gen;
 
@@ -68,6 +68,17 @@ TEST(NetBackendUnit, LabelsAndRoundTrips) {
   EXPECT_THROW(ExecutionBackend::fromLabel("net:0,0.99,100,3,0,0"), Error);
   EXPECT_THROW(ExecutionBackend::fromLabel("net:0,0,0,3,0,0"), Error);
   EXPECT_THROW(ExecutionBackend::fromLabel("net:0,0,100,0,0,0"), Error);
+  // Each field is one whole, in-range token of its type: no int
+  // wrap-around (4294968320 is 1024 mod 2^32, 4294967299 is 3), no
+  // int64 clamp, no leading whitespace.
+  EXPECT_THROW(ExecutionBackend::fromLabel("net:4294968320,0.1,100,3,0,0"),
+               Error);
+  EXPECT_THROW(ExecutionBackend::fromLabel("net:0,0.1,100,4294967299,0,0"),
+               Error);
+  EXPECT_THROW(
+      ExecutionBackend::fromLabel("net:0,0.1,100,3,9223372036854775808,0"),
+      Error);
+  EXPECT_THROW(ExecutionBackend::fromLabel("net:0, 0.1,100,3,0,0"), Error);
 }
 
 // --- wire format -------------------------------------------------------------
@@ -173,8 +184,6 @@ TEST(NetBackendUnit, FaultPlanIsAPureFunctionOfItsKey) {
     EXPECT_FALSE(lossless.drop(1, 2, seq, 0));
     EXPECT_EQ(lossless.delayUs(1, 2, seq, 0), 0);
   }
-  EXPECT_THROW(net::FaultPlan(1, 1.0, 0), Error);
-  EXPECT_THROW(net::FaultPlan(1, -0.1, 0), Error);
 }
 
 // --- engine lifecycle --------------------------------------------------------
@@ -183,7 +192,7 @@ TEST(NetBackendEngine, IdleSystemDrainsImmediately) {
   const graph::DualGraph topology = gen::identityDual(gen::line(3));
   const graph::TopologyView view(topology);
   net::NetConfig config;
-  config.tickUs = 100;
+  config.backend.tickUs = 100;
   net::NetEngine engine(view, testutil::stdParams(4, 32),
                         [](NodeId) { return std::make_unique<mac::Process>(); },
                         config);
@@ -196,6 +205,25 @@ TEST(NetBackendEngine, IdleSystemDrainsImmediately) {
   }
   EXPECT_EQ(engine.stats().bcasts, 0u);
   EXPECT_EQ(engine.now(), engine.now());  // frozen after the run
+}
+
+// The engine checks its knobs once, with NetBackendParams::validate();
+// the fault plan built from them does not re-check the loss range.
+TEST(NetBackendEngine, RejectsOutOfRangeKnobs) {
+  const graph::DualGraph topology = gen::identityDual(gen::line(3));
+  const graph::TopologyView view(topology);
+  const auto idle = [](NodeId) { return std::make_unique<mac::Process>(); };
+  for (const double loss : {1.0, -0.1}) {
+    net::NetConfig config;
+    config.backend.loss = loss;
+    EXPECT_THROW(
+        net::NetEngine(view, testutil::stdParams(4, 32), idle, config), Error)
+        << loss;
+  }
+  net::NetConfig config;
+  config.backend.tickUs = 0;
+  EXPECT_THROW(
+      net::NetEngine(view, testutil::stdParams(4, 32), idle, config), Error);
 }
 
 // --- loopback end-to-end -----------------------------------------------------

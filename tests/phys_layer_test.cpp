@@ -69,6 +69,18 @@ TEST(MacRealizationUnit, LabelsAndRoundTrips) {
   EXPECT_THROW(MacRealization::fromLabel("csma:0,2,64,8,0.3"), Error);
   EXPECT_THROW(MacRealization::fromLabel("csma:1,8,4,8,0.3"), Error);
   EXPECT_THROW(MacRealization::fromLabel("csma:1,2,64,8,1.5"), Error);
+  // Each field is one whole, in-range token: no wrap-around of an
+  // overflowing int (4294967298 is 2 mod 2^32, the default cwMin), no
+  // leading whitespace or '+', no trailing junk inside a field.
+  EXPECT_THROW(MacRealization::fromLabel("csma:1,4294967298,64,8,0.3"),
+               Error);
+  EXPECT_THROW(MacRealization::fromLabel("csma:1, 2,64,8,0.3"), Error);
+  EXPECT_THROW(MacRealization::fromLabel("csma:1,+2,64,8,0.3"), Error);
+  EXPECT_THROW(MacRealization::fromLabel("csma:1,2.5,64,8,0.3"), Error);
+  EXPECT_THROW(MacRealization::fromLabel("csma:1,2,64,8,"), Error);
+  EXPECT_THROW(
+      MacRealization::fromLabel("csma:99999999999999999999,2,64,8,0.3"),
+      Error);
 }
 
 // --- analytic envelope -------------------------------------------------------

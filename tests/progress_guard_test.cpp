@@ -471,27 +471,64 @@ TEST(ProgressGuard, AbortGraceReceiveCoversUpToTheAbort) {
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
-// Enhanced-model FMMB with epsAbort 3 receives from instances after
-// their abort: the one path on which a receive ends a cover at the
-// instance's termination rather than covering from now on.  The runs
-// are pinned to trace hashes and forced-delivery counts recorded with a
-// guard that kept every receive's cover in a per-receiver list.
+// Receives whose instance had already aborted (epsAbort grace receives).
+std::size_t graceReceives(const sim::Trace& trace) {
+  std::vector<bool> aborted;
+  std::size_t count = 0;
+  for (const sim::TraceRecord& rec : trace.records()) {
+    const auto id = static_cast<std::size_t>(rec.instance);
+    if (rec.kind == sim::TraceKind::kAbort) {
+      if (aborted.size() <= id) aborted.resize(id + 1, false);
+      aborted[id] = true;
+    }
+    if (rec.kind == sim::TraceKind::kRcv && id < aborted.size() &&
+        aborted[id]) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// Enhanced-model FMMB receives from instances after their abort: the
+// one path on which a receive ends a cover at the instance's
+// termination rather than covering from now on.  The random-scheduler
+// runs (epsAbort 3) are pinned to trace hashes and forced-delivery
+// counts recorded with a guard that kept every receive's cover in a
+// per-receiver list.  They force nothing, so a grace cover there only
+// moves deadlines that never fire.  The adversarial runs also force:
+// the adversary plans every G delivery at bcast + Fack = bcast + 8,
+// after FMMB's abort at the round end (bcast + Fprog + 1), so with
+// epsAbort = Fack - Fprog - 1 those deliveries land in the grace
+// window, while the guard forces deliveries inside the round.  Each
+// such grace cover is the single tick termAt - 1, so a guard that
+// ended it at termAt would cover the next round's first need point.
+// Their pins were recorded with the guard that keeps a live-cover
+// count and one dead-cover end.
 TEST(ProgressGuard, AbortGraceReceivesKeepTheirTraces) {
   struct Pin {
+    core::SchedulerKind scheduler;
+    Time fack;
+    Time epsAbort;
     bool drift;
     std::uint64_t traceHash;
     std::uint64_t forcedRcvs;
   };
+  constexpr core::SchedulerKind kRandom = core::SchedulerKind::kRandom;
+  constexpr core::SchedulerKind kAdversarial =
+      core::SchedulerKind::kAdversarial;
   const Pin pins[] = {
-      {false, 0x36e402332603239full, 0},
-      {true, 0x454aab29271cead5ull, 0},
+      {kRandom, 64, 3, false, 0x36e402332603239full, 0},
+      {kRandom, 64, 3, true, 0x454aab29271cead5ull, 0},
+      {kAdversarial, 8, 3, false, 0xfbec9479d3a3ea62ull, 4064},
+      {kAdversarial, 8, 3, true, 0x13c1772f2de12d7dull, 4064},
   };
   for (const Pin& pin : pins) {
-    const std::string what = pin.drift ? "drift" : "static";
+    const std::string what = core::toString(pin.scheduler) +
+                             (pin.drift ? " drift" : " static");
     Rng rng(9);
     const graph::DualGraph base = gen::greyZoneField(24, 6.0, 1.5, 0.4, rng);
     core::RunConfig config;
-    config.scheduler = core::SchedulerKind::kRandom;
+    config.scheduler = pin.scheduler;
     config.seed = 21;
     config.limits.maxTime = 100'000;
     if (pin.drift) {
@@ -500,33 +537,87 @@ TEST(ProgressGuard, AbortGraceReceivesKeepTheirTraces) {
       config.dynamics.period = 24;
       config.dynamics.churn = 0.5;
     }
-    config.mac = testutil::enhParams(4, 64);
-    config.mac.epsAbort = 3;
+    config.mac = testutil::enhParams(4, pin.fack);
+    config.mac.epsAbort = pin.epsAbort;
     core::Experiment experiment(
         base, core::fmmbProtocol(core::FmmbParams::make(base.n())),
         core::workloadRoundRobin(4, base.n()), config);
     const core::RunResult result = experiment.run();
     ASSERT_TRUE(result.solved) << what;
 
-    std::vector<bool> aborted;
-    std::size_t graceRcvs = 0;
-    for (const auto& rec : experiment.trace().records()) {
-      const auto id = static_cast<std::size_t>(rec.instance);
-      if (rec.kind == sim::TraceKind::kAbort) {
-        if (aborted.size() <= id) aborted.resize(id + 1, false);
-        aborted[id] = true;
-      }
-      if (rec.kind == sim::TraceKind::kRcv && id < aborted.size() &&
-          aborted[id]) {
-        ++graceRcvs;
-      }
-    }
-    EXPECT_GT(graceRcvs, 0u) << what;
+    EXPECT_GT(graceReceives(experiment.trace()), 0u) << what;
     const auto check = checkTrace(experiment.view(), config.mac,
                                   experiment.trace(), result.endTime);
     EXPECT_TRUE(check.ok) << what << ": " << check.summary();
     EXPECT_EQ(check::traceHash(experiment.trace()), pin.traceHash) << what;
     EXPECT_EQ(result.stats.forcedRcvs, pin.forcedRcvs) << what;
+    if (pin.scheduler == kAdversarial) {
+      EXPECT_GT(result.stats.forcedRcvs, 0u) << what;
+    }
+  }
+}
+
+// FMMB's grace receives cannot show what their covers reach: its
+// rounds are lock-step, so a round's instances all abort at the tick
+// the next round's bcasts start, and a grace cover, which ends at
+// termAt - 1, lies before every need window still held.  Here each
+// node instead aborts its broadcast after a seeded 1..2 Fprog ticks,
+// so aborts fall between other nodes' bcasts.  The adversary plans
+// every G delivery at bcast + Fack = bcast + 8; with Fprog 4 and
+// epsAbort = Fack - Fprog - 1 = 3 that lands in the grace window of a
+// broadcast aborted 5 to 7 ticks in, where its cover [bcast + 4,
+// termAt - 1] is not empty, and the guard forces deliveries too.  The
+// pins were recorded with a build of the guard that keeps a live-cover
+// count and one dead-cover end.
+TEST(ProgressGuard, StaggeredAbortGraceCoversKeepTheirTraces) {
+  class StaggeredAborter : public Process {
+   public:
+    void onWake(Context& ctx) override { next(ctx); }
+    void onTimer(Context& ctx, TimerId) override {
+      if (ctx.busy()) ctx.abortBcast();
+      next(ctx);
+    }
+
+   private:
+    static void next(Context& ctx) {
+      if (ctx.now() >= 2000) return;
+      ctx.bcast(Packet{});
+      ctx.setTimerAfter(ctx.rng().uniformInt(1, 2 * ctx.fprog()));
+    }
+  };
+  struct Pin {
+    bool drift;
+    std::uint64_t traceHash;
+    std::uint64_t forcedRcvs;
+  };
+  const Pin pins[] = {
+      {false, 0x431464e3e230ad62ull, 4785},
+      {true, 0x5b3a3d760250a63cull, 4979},
+  };
+  for (const Pin& pin : pins) {
+    const std::string what = pin.drift ? "drift" : "static";
+    Rng rng(9);
+    const graph::DualGraph base = gen::greyZoneField(24, 6.0, 1.5, 0.4, rng);
+    core::DynamicsSpec dynamics;
+    if (pin.drift) {
+      dynamics.kind = core::DynamicsSpec::Kind::kGreyDrift;
+      dynamics.epochs = 4;
+      dynamics.period = 24;
+      dynamics.churn = 0.5;
+    }
+    const graph::TopologyView view(base, dynamics.build(base, 21));
+    MacParams params = testutil::enhParams(4, 8);
+    params.epsAbort = 3;
+    MacEngine engine(
+        view, params, std::make_unique<AdversarialScheduler>(),
+        [](NodeId) { return std::make_unique<StaggeredAborter>(); }, 21);
+    EXPECT_EQ(engine.run(), sim::RunStatus::kDrained) << what;
+    EXPECT_GT(graceReceives(engine.trace()), 0u) << what;
+    EXPECT_GT(engine.stats().forcedRcvs, 0u) << what;
+    const auto check = checkTrace(view, params, engine.trace());
+    EXPECT_TRUE(check.ok) << what << ": " << check.summary();
+    EXPECT_EQ(check::traceHash(engine.trace()), pin.traceHash) << what;
+    EXPECT_EQ(engine.stats().forcedRcvs, pin.forcedRcvs) << what;
   }
 }
 

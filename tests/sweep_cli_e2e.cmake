@@ -212,6 +212,10 @@ file(WRITE "${WORKDIR}/overflow.json"
        \"seed_begin\": 1, \"seed_end\": 2}")
 expect_input_error("spec.dynamics[0].period" print overflow.json)
 
+# A label field past its type's range is refused, not wrapped: cwMin
+# 4294967298 would wrap to 2 as a 32-bit int and run plain csma.
+expect_input_error("--mac" run "${SPEC}" --mac csma:1,4294967298,64,8,0.3)
+
 file(READ "${WORKDIR}/shard_0.json" shard)
 string(REGEX REPLACE "\"bcasts\":[0-9]+" "\"bcasts\":-3" corrupted "${shard}")
 if(corrupted STREQUAL shard)

@@ -1,8 +1,8 @@
 // The trace pipeline's contracts, bottom to top: the TraceMode label
-// round-trips; the spool sink's fixed-width encoding replays
-// byte-identically to the in-memory vector (tolerating a torn tail,
-// rejecting mid-record corruption); the Trace facade's tee feeds live
-// consumers the exact committed sequence; the streaming oracles are
+// round-trips; the spool's fixed-width encoding replays its input
+// records byte-identically (tolerating a torn tail, rejecting
+// mid-record corruption); the Trace feeds live consumers the exact
+// committed sequence, in attach order; the streaming oracles are
 // byte-identical to their whole-trace offline references; and whole
 // executions — every committed golden case — are bit-identical across
 // trace modes, honest and mutated alike.
@@ -35,7 +35,6 @@ using check::ExecutionOutcome;
 using check::FuzzCase;
 using check::GoldenCase;
 using check::SchedulerMutation;
-using sim::MemTraceSink;
 using sim::SpoolTraceSink;
 using sim::Trace;
 using sim::TraceKind;
@@ -71,6 +70,11 @@ TEST(TracePipelineMode, LabelsAndRoundTrips) {
   EXPECT_THROW(TraceMode::fromLabel("spool:-4"), Error);
   EXPECT_THROW(TraceMode::fromLabel("spool:12x"), Error);
   EXPECT_THROW(TraceMode::fromLabel("spool:9999999999"), Error);
+  // Past the range of every integer type: an ammb::Error naming the
+  // label, not std::stol's std::out_of_range.
+  EXPECT_THROW(TraceMode::fromLabel("spool:99999999999999999999"), Error);
+  EXPECT_THROW(TraceMode::fromLabel("spool:+64"), Error);
+  EXPECT_THROW(TraceMode::fromLabel("spool: 64"), Error);
 }
 
 // --- SpoolTraceSink ----------------------------------------------------------
@@ -90,7 +94,7 @@ std::vector<TraceRecord> sampleRecords(std::size_t count) {
   return records;
 }
 
-std::vector<TraceRecord> replayed(const sim::TraceSink& sink) {
+std::vector<TraceRecord> replayed(const SpoolTraceSink& sink) {
   std::vector<TraceRecord> out;
   sink.replay([&](const TraceRecord& r) { out.push_back(r); });
   return out;
@@ -129,21 +133,17 @@ TEST(TracePipelineSpool, EncodeDecodeRoundTripsEveryField) {
   EXPECT_THROW(SpoolTraceSink::decodeRecord(encoded), Error);
 }
 
+// The spool replays exactly what a mem trace would hold: its input.
 TEST(TracePipelineSpool, ReplayMatchesMemAcrossBufferBoundaries) {
   const std::vector<TraceRecord> records = sampleRecords(23);
   // Buffer sizes straddling the record count: mid-buffer pending tail,
   // exact flush boundary, and everything-buffered.
   for (const std::size_t bufRecords : {1ul, 4ul, 23ul, 64ul}) {
-    MemTraceSink mem;
     SpoolTraceSink spool(bufRecords);
-    for (const TraceRecord& r : records) {
-      mem.append(r);
-      spool.append(r);
-    }
-    EXPECT_EQ(spool.size(), mem.size()) << bufRecords;
-    EXPECT_EQ(spool.lastTime(), mem.lastTime()) << bufRecords;
-    EXPECT_EQ(spool.memRecords(), nullptr);
-    expectSameRecords(replayed(spool), replayed(mem));
+    for (const TraceRecord& r : records) spool.append(r);
+    EXPECT_EQ(spool.size(), records.size()) << bufRecords;
+    EXPECT_EQ(spool.lastTime(), records.back().t) << bufRecords;
+    expectSameRecords(replayed(spool), records);
     // Replay flushes but must not consume: a second replay and further
     // appends still see everything.
     spool.append(records.front());
@@ -222,7 +222,7 @@ TEST(TracePipelineFacade, SpoolTraceSupportsEverythingButRandomAccess) {
   EXPECT_EQ(spool.size(), mem.size());
   EXPECT_EQ(spool.lastTime(), mem.lastTime());
   EXPECT_EQ(mem.records().size(), records.size());
-  EXPECT_THROW(spool.records(), Error);  // random access needs the mem sink
+  EXPECT_THROW(spool.records(), Error);  // random access needs mem mode
 
   std::vector<TraceRecord> viaForEach;
   spool.forEach([&](const TraceRecord& r) { viaForEach.push_back(r); });
@@ -232,9 +232,7 @@ TEST(TracePipelineFacade, SpoolTraceSupportsEverythingButRandomAccess) {
 }
 
 TEST(TracePipelineFacade, AttachedConsumersSeeTheCommittedSequence) {
-  // The tee must feed consumers the exact committed order for both
-  // sinks — including records added before the consumer attached (not
-  // replayed; the hasher only sees what it witnessed).
+  // Consumers must see the exact committed order in both modes.
   for (const TraceMode mode : {TraceMode::mem(), TraceMode::spool(8)}) {
     Trace trace(true, mode);
     check::TraceHasher hasher;
@@ -250,6 +248,48 @@ TEST(TracePipelineFacade, AttachedConsumersSeeTheCommittedSequence) {
   disabled.add(TraceRecord{});
   EXPECT_EQ(disabled.size(), 0u);
   EXPECT_EQ(hasher.hash(), check::traceHash(disabled));  // both empty
+}
+
+// Logs, per call, which consumer ran and how many records the trace
+// held at that moment.
+class OrderLog : public sim::TraceConsumer {
+ public:
+  OrderLog(const Trace& trace, int id,
+           std::vector<std::pair<int, std::size_t>>& log)
+      : trace_(trace), id_(id), log_(log) {}
+  void onRecord(const TraceRecord&) override {
+    log_.emplace_back(id_, trace_.size());
+  }
+
+ private:
+  const Trace& trace_;
+  int id_;
+  std::vector<std::pair<int, std::size_t>>& log_;
+};
+
+TEST(TracePipelineFacade, ConsumersRunInAttachOrderAfterTheStore) {
+  for (const TraceMode mode : {TraceMode::mem(), TraceMode::spool(8)}) {
+    const std::vector<TraceRecord> records = sampleRecords(3);
+    Trace trace(true, mode);
+    std::vector<std::pair<int, std::size_t>> log;
+    OrderLog first(trace, 0, log);
+    OrderLog second(trace, 1, log);
+    check::TraceHasher late;
+    trace.attachConsumer(&first);
+    trace.add(records[0]);
+    trace.add(records[1]);
+    trace.attachConsumer(&second);
+    trace.attachConsumer(&late);
+    trace.add(records[2]);
+    // Each record is stored before any consumer sees it; a consumer
+    // attached later sees only the records added after it.
+    const std::vector<std::pair<int, std::size_t>> expected = {
+        {0, 1}, {0, 2}, {0, 3}, {1, 3}};
+    EXPECT_EQ(log, expected) << mode.label();
+    Trace tail(true, TraceMode::mem());
+    tail.add(records[2]);
+    EXPECT_EQ(late.hash(), check::traceHash(tail)) << mode.label();
+  }
 }
 
 // --- streaming oracles vs their offline references ---------------------------
