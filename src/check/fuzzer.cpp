@@ -423,6 +423,7 @@ FuzzResult runFuzz(const FuzzSpec& spec) {
     ++result.coverage["reaction:" + fuzzCase.reaction.label()];
     ++result.coverage["trace:" + fuzzCase.traceMode.label()];
     const ExecutionOutcome outcome = runCase(fuzzCase, spec.mutation);
+    result.traceHashes.push_back(outcome.traceHash);
     if (!outcome.failed()) continue;
     ++result.violations;
 

@@ -218,6 +218,9 @@ struct FuzzResult {
   /// Executions per axis label ("protocol:bmmb", "topology:line", ...),
   /// for coverage assertions and the BENCH_fuzz.json summary.
   std::map<std::string, int> coverage;
+  /// Each iteration's ExecutionOutcome::traceHash (0 if the run threw),
+  /// so the summary pins what every case executed, not just sampled.
+  std::vector<std::uint64_t> traceHashes;
 
   bool ok() const { return violations == 0; }
 };

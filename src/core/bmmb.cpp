@@ -22,7 +22,7 @@ void BmmbProcess::onEpochChange(mac::Context& ctx,
                                 const mac::EpochChange& change) {
   // Retransmit-on-recovery: new G capacity means some neighbor may
   // have missed part of the flood — a message acknowledged while that
-  // neighbor's link was down was covered by a requiredG set that never
+  // neighbor's link was down was covered by an ack gate that never
   // contained it, so nothing in the base protocol will ever re-offer
   // it.  Re-enqueue the whole `sent` set (receivers dedup, so already-
   // covered messages cost one useless packet each at worst), ascending
@@ -30,7 +30,7 @@ void BmmbProcess::onEpochChange(mac::Context& ctx,
   if (reaction_.none() || !change.gainedG) return;
   std::vector<MsgId> rearm(sent_.begin(), sent_.end());
   // The in-flight queue head is as stale as the sent set: its delivery
-  // plan predates the boundary, so its requiredG never contained the
+  // plan predates the boundary, so its ack gate never contained the
   // recovered neighbor, and its ack will move it into `sent` without
   // that neighbor ever being offered it.  Re-arm it too (the back copy
   // is re-broadcast under the new epoch after the current ack lands).

@@ -255,11 +255,6 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
   const DeliveryPlan plan = scheduler_->planBcast(inst);
   if (validatePlans_) validatePlan(inst, plan);
   records_[static_cast<std::size_t>(id)].plannedAck = plan.ackAt;
-  const graph::Graph::Span gNbrs = dual_->g().neighbors(node);
-  inst.pendingGDeliveries = static_cast<int>(gNbrs.size());
-  // Static views skip the per-instance set: the countdown plus an
-  // adjacency membership probe is equivalent when edges never change.
-  if (view_->dynamic()) inst.requiredG.assign(gNbrs.begin(), gNbrs.end());
 
   inst.reserveFanout(plan.deliveries.size());
   for (const PlannedDelivery& d : plan.deliveries) {
@@ -273,7 +268,7 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
   ns.current = id;
   // The new instance changes the need set of the sender's G-neighbors.
   guard_.addNeeds(id);
-  for (NodeId j : gNbrs) guard_.recompute(j);
+  for (NodeId j : dual_->g().neighbors(node)) guard_.recompute(j);
 }
 
 bool MacEngine::apiBusy(NodeId node) const {
@@ -422,13 +417,6 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
   }
 
   inst.markDelivered(receiver);
-  if (view_->dynamic()) {
-    if (inst.removeRequiredG(receiver)) --inst.pendingGDeliveries;
-  } else if (dual_->g().hasEdge(inst.sender, receiver)) {
-    --inst.pendingGDeliveries;
-    AMMB_ASSERT(inst.pendingGDeliveries >= 0);
-  }
-
   trace_.add({now(), sim::TraceKind::kRcv, receiver, id, kNoMsg});
   ++stats_.rcvs;
   if (forced) ++stats_.forcedRcvs;
@@ -455,9 +443,17 @@ void MacEngine::onAckEvent(InstanceId id) {
   InstanceRecord& rec = records_[static_cast<std::size_t>(id)];
   if (rec.terminated()) return;  // aborted; event race
   Instance& inst = body(id);
-  // With validation off an (intentionally broken) plan may ack while
-  // G-deliveries are still missing; the offline checker flags it.
-  AMMB_ASSERT(inst.pendingGDeliveries == 0 || !validatePlans_);
+  // The ack gate (Section 3.2.1): every G-neighbor of the sender whose
+  // link has been live since the bcast has received the packet; a link
+  // that went down or came up in between obliges nothing.  With
+  // validation off an (intentionally broken) plan may ack early; the
+  // offline checker flags it.
+  if (validatePlans_) {
+    for (NodeId j : dual_->g().neighbors(inst.sender)) {
+      AMMB_ASSERT(inst.hasDeliveredTo(j) ||
+                  view_->gEdgeLiveSince(epoch_, inst.sender, j) > inst.bcastAt);
+    }
+  }
   rec.termAt = now();
   trace_.add({now(), sim::TraceKind::kAck, inst.sender, id, kNoMsg});
   ++stats_.acks;
@@ -479,15 +475,15 @@ void MacEngine::finishInstance(const Instance& inst) {
   // provided are now capped at termAt, so re-evaluate the neighborhood:
   // the current epoch's G' span of the sender holds every node the
   // instance contended at.
-  for (NodeId j : dual_->gPrime().neighbors(inst.sender)) {
-    guard_.recompute(j);
-  }
+  const graph::Graph::Span gpNbrs = dual_->gPrime().neighbors(inst.sender);
+  for (NodeId j : gpNbrs) guard_.recompute(j);
   // Termination also caps this instance's cover intervals at termAt —
   // including covers held by receivers the sender can no longer reach
   // (their link dropped, or the sender crashed, since the delivery), or
   // never could: with plan validation off a scheduler may deliver
-  // outside G'.  On a static topology with validated plans there are
-  // no such extras.
+  // outside G'.  One merge of the two sorted sets finds whether there
+  // are any; on a static topology with validated plans there are none.
+  if (inst.deliveredWithin(gpNbrs)) return;
   for (NodeId j : inst.deliveredTo) {
     if (!dual_->gPrime().hasEdge(inst.sender, j)) guard_.recompute(j);
   }
@@ -522,11 +518,12 @@ void MacEngine::onEpochBoundary(int e) {
 
   // Reconcile every in-flight instance with the new topology: exactly
   // those holding a body, visited in id order.  A vanished E'-link
-  // voids its scheduled delivery; a vanished E-link (or a crashed
+  // voids its scheduled delivery.  A vanished E-link (or a crashed
   // endpoint — crashed nodes have empty adjacency) also voids the
-  // acknowledgment guarantee for that receiver.  The ack itself always
-  // fires as planned: a crashed sender simply stops delivering (its
-  // radio is down), it does not lose its automaton.
+  // acknowledgment guarantee for that receiver, which the ack reads
+  // off the view.  The ack itself always fires as planned: a crashed
+  // sender simply stops delivering (its radio is down), it does not
+  // lose its automaton.
   std::vector<InstanceId> held;
   for (const Instance& inst : pool_) {
     if (inst.id != kNoInstance) held.push_back(inst.id);
@@ -547,14 +544,6 @@ void MacEngine::onEpochBoundary(int e) {
       if (p + 1 != pending.size()) pending[p] = pending.back();
       pending.pop_back();
       dropped = true;
-    }
-    if (!records_[static_cast<std::size_t>(id)].terminated()) {
-      std::vector<NodeId>& req = inst.requiredG;
-      req.erase(std::remove_if(
-                    req.begin(), req.end(),
-                    [this, s](NodeId j) { return !dual_->g().hasEdge(s, j); }),
-                req.end());
-      inst.pendingGDeliveries = static_cast<int>(req.size());
     }
     if (dropped) releaseIfSettled(id);
   }

@@ -5,12 +5,13 @@
 // The engine keeps each instance in two parts.  An InstanceRecord (32
 // bytes) holds the timing summary of every id ever assigned.  An
 // Instance body holds what only an unsettled instance needs: the
-// packet, the delivered set, pending deliveries and the ack gate.  At
-// most one broadcast per node is unterminated at a time, so bodies come
-// from a pool that stays near n in size however many instances a run
-// creates; a body returns to the pool once its instance has settled
-// (terminated, nothing pending).  Schedulers receive a const view of
-// the body when planning.
+// packet, the delivered set and the pending deliveries.  The ack gate
+// is not kept: the engine derives it at the ack from the delivered set
+// and the topology view.  At most one broadcast per node is
+// unterminated at a time, so bodies come from a pool that stays near n
+// in size however many instances a run creates; a body returns to the
+// pool once its instance has settled (terminated, nothing pending).
+// Schedulers receive a const view of the body when planning.
 //
 // All bookkeeping is flat vectors: per-broadcast hash containers
 // (delivered-set, pending-index) used to dominate allocation in
@@ -28,6 +29,7 @@
 #include "common/error.h"
 
 #include "common/types.h"
+#include "graph/graph.h"
 #include "mac/packet.h"
 #include "sim/event_queue.h"
 
@@ -98,29 +100,6 @@ struct Instance {
     return false;
   }
 
-  /// G-neighbors of the sender not yet delivered to (ack gate).  On a
-  /// static topology this is a plain countdown (membership is just
-  /// "has a G-edge", no per-instance set needed); dynamic views
-  /// additionally materialize `requiredG` below and keep the two in
-  /// sync, because epoch transitions shrink membership per link.
-  int pendingGDeliveries = 0;
-
-  /// Dynamic views only: the sender's G-neighbors whose receipt still
-  /// gates the ack — seeded at bcast with the bcast-epoch
-  /// G-neighborhood (sorted), shrunk by deliveries and by epoch
-  /// transitions that take the link down (the acknowledgment guarantee
-  /// is quantified only over links live for the whole [bcast, ack]
-  /// window).  Unused (empty) on static views.
-  std::vector<NodeId> requiredG;
-
-  /// Drops `j` from the required set; false if it was not required.
-  bool removeRequiredG(NodeId j) {
-    const auto it = std::lower_bound(requiredG.begin(), requiredG.end(), j);
-    if (it == requiredG.end() || *it != j) return false;
-    requiredG.erase(it);
-    return true;
-  }
-
   /// Handle of the scheduled ack event (cancelled on abort).
   sim::EventHandle ackEvent = 0;
 
@@ -139,6 +118,13 @@ struct Instance {
                               j);
   }
 
+  /// True if every receiver so far is in `nbrs` (a sorted adjacency
+  /// span): one merge of the two sorted sets.
+  bool deliveredWithin(graph::Graph::Span nbrs) const {
+    return std::includes(nbrs.begin(), nbrs.end(), deliveredSorted_.begin(),
+                         deliveredSorted_.end());
+  }
+
   /// Pre-sizes the per-instance vectors for an expected fan-out.
   void reserveFanout(std::size_t planned) {
     pending.reserve(planned);
@@ -155,8 +141,6 @@ struct Instance {
     bcastAt = 0;
     deliveredTo.clear();
     pending.clear();
-    pendingGDeliveries = 0;
-    requiredG.clear();
     ackEvent = 0;
     deliveredSorted_.clear();
   }

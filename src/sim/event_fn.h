@@ -3,30 +3,22 @@
 // The kernel's hot path schedules millions of short-lived closures per
 // simulated run.  std::function heap-allocates any capture larger than
 // its tiny SSO budget (16 bytes on libstdc++), which makes scheduling a
-// malloc/free pair.  EventFn is a move-only callable wrapper with a
-// 48-byte inline buffer — every closure the engine schedules (this
-// pointer plus a couple of ids) fits inline, so steady-state scheduling
-// never allocates.  Oversized callables still work via a heap fallback,
-// they just lose the inline fast path.
+// malloc/free pair.  EventFn holds one trivially copyable callable of at
+// most 48 bytes in an inline buffer plus one invoke pointer — every
+// closure the program schedules is `this` plus a few ids — so it is
+// itself trivially copyable: scheduling never allocates, and moving or
+// dropping an event is a plain copy or nothing.  Callables outside that
+// contract (a std::function, a capture that owns a container) do not
+// convert; the converting constructor is constrained, so the mismatch
+// is a compile error at the call site.
 #pragma once
 
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace ammb::sim {
-
-namespace detail {
-/// True when `T == nullptr` is a valid expression (std::function,
-/// function pointers) — i.e. the callable can be empty.
-template <typename T, typename = void>
-inline constexpr bool isNullComparable = false;
-template <typename T>
-inline constexpr bool isNullComparable<
-    T, std::void_t<decltype(std::declval<const T&>() == nullptr)>> = true;
-}  // namespace detail
 
 class EventFn {
  public:
@@ -36,55 +28,25 @@ class EventFn {
   EventFn() noexcept = default;
   EventFn(std::nullptr_t) noexcept {}
 
-  template <typename F,
+  template <typename F, typename Fn = std::decay_t<F>,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                !std::is_same_v<Fn, EventFn> &&
+                std::is_trivially_copyable_v<Fn> &&
+                sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
+                std::is_invocable_r_v<void, Fn&>>>
   EventFn(F&& f) {
-    using Fn = std::decay_t<F>;
-    // A null-testable callable (std::function, function pointer) that
-    // holds nothing produces an empty EventFn, so callers' null checks
-    // fail fast at schedule time instead of at invocation.
-    if constexpr (detail::isNullComparable<Fn>) {
+    // A null function pointer makes an empty EventFn, so the queue's
+    // null check fails at schedule time instead of at invocation.
+    if constexpr (std::is_pointer_v<Fn>) {
       if (f == nullptr) return;
     }
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
-                  std::is_trivially_copyable_v<Fn> &&
-                  std::is_trivially_destructible_v<Fn>) {
-      // Fast path for plain captures (the engine's events are all
-      // (this, id, id) structs): move is a raw copy, destroy a no-op,
-      // so the per-event vtable traffic reduces to the single invoke.
-      ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
-      vtable_ = &trivialVtable<Fn>;
-    } else if constexpr (sizeof(Fn) <= kInlineSize &&
-                         alignof(Fn) <= kInlineAlign &&
-                         std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
-      vtable_ = &inlineVtable<Fn>;
-    } else {
-      heap_ = new Fn(std::forward<F>(f));
-      vtable_ = &heapVtable<Fn>;
-    }
+    ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
+    invoke_ = [](void* buffer) { (*std::launder(static_cast<Fn*>(buffer)))(); };
   }
 
-  EventFn(EventFn&& other) noexcept { moveFrom(other); }
+  void operator()() { invoke_(buffer_); }
 
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      moveFrom(other);
-    }
-    return *this;
-  }
-
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-
-  ~EventFn() { reset(); }
-
-  void operator()() { vtable_->invoke(this); }
-
-  explicit operator bool() const noexcept { return vtable_ != nullptr; }
+  explicit operator bool() const noexcept { return invoke_ != nullptr; }
   friend bool operator==(const EventFn& f, std::nullptr_t) noexcept {
     return !f;
   }
@@ -93,84 +55,11 @@ class EventFn {
   }
 
  private:
-  struct Vtable {
-    void (*invoke)(EventFn*);
-    /// Null for trivially-copyable inline callables: destruction is a
-    /// no-op and moves degrade to a raw buffer copy.
-    void (*destroy)(EventFn*) noexcept;
-    void (*moveTo)(EventFn*, EventFn*) noexcept;
-  };
-
-  template <typename Fn>
-  static Fn* inlinePtr(EventFn* self) noexcept {
-    return std::launder(reinterpret_cast<Fn*>(self->buffer_));
-  }
-
-  template <typename Fn>
-  static void inlineInvoke(EventFn* self) {
-    (*inlinePtr<Fn>(self))();
-  }
-  template <typename Fn>
-  static void inlineDestroy(EventFn* self) noexcept {
-    inlinePtr<Fn>(self)->~Fn();
-  }
-  template <typename Fn>
-  static void inlineMove(EventFn* from, EventFn* to) noexcept {
-    Fn* src = inlinePtr<Fn>(from);
-    ::new (static_cast<void*>(to->buffer_)) Fn(std::move(*src));
-    src->~Fn();
-  }
-
-  template <typename Fn>
-  static void heapInvoke(EventFn* self) {
-    (*static_cast<Fn*>(self->heap_))();
-  }
-  template <typename Fn>
-  static void heapDestroy(EventFn* self) noexcept {
-    delete static_cast<Fn*>(self->heap_);
-  }
-  template <typename Fn>
-  static void heapMove(EventFn* from, EventFn* to) noexcept {
-    to->heap_ = from->heap_;
-    from->heap_ = nullptr;
-  }
-
-  template <typename Fn>
-  static constexpr Vtable trivialVtable = {&inlineInvoke<Fn>, nullptr,
-                                           nullptr};
-
-  template <typename Fn>
-  static constexpr Vtable inlineVtable = {&inlineInvoke<Fn>,
-                                          &inlineDestroy<Fn>, &inlineMove<Fn>};
-
-  template <typename Fn>
-  static constexpr Vtable heapVtable = {&heapInvoke<Fn>, &heapDestroy<Fn>,
-                                        &heapMove<Fn>};
-
-  void reset() noexcept {
-    if (vtable_ != nullptr) {
-      if (vtable_->destroy != nullptr) vtable_->destroy(this);
-      vtable_ = nullptr;
-    }
-  }
-
-  void moveFrom(EventFn& other) noexcept {
-    vtable_ = other.vtable_;
-    if (vtable_ != nullptr) {
-      if (vtable_->moveTo != nullptr) {
-        vtable_->moveTo(&other, this);
-      } else {
-        std::memcpy(buffer_, other.buffer_, kInlineSize);
-      }
-      other.vtable_ = nullptr;
-    }
-  }
-
-  const Vtable* vtable_ = nullptr;
-  union {
-    alignas(kInlineAlign) unsigned char buffer_[kInlineSize];
-    void* heap_;
-  };
+  void (*invoke_)(void*) = nullptr;
+  alignas(kInlineAlign) unsigned char buffer_[kInlineSize];
 };
+
+static_assert(std::is_trivially_copyable_v<EventFn>,
+              "moving or dropping an event is a plain copy or nothing");
 
 }  // namespace ammb::sim

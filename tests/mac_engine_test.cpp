@@ -16,6 +16,7 @@ namespace ammb::mac {
 namespace {
 
 namespace gen = graph::gen;
+using testutil::ackGate;
 using testutil::enhParams;
 using testutil::receiversOf;
 using testutil::stdParams;
@@ -545,9 +546,10 @@ TEST(MacEngine, KernelSpecArgumentIsAnIgnoredPlaceholder) {
 //
 // At a boundary the engine scrubs every instance in one pass: pending
 // deliveries over vanished E' links are cancelled (scanning back to
-// front, swap-removing), the ack gate drops vanished E links, and an
-// already-terminated instance whose last pending entry went is
-// released.
+// front, swap-removing), and an already-terminated instance whose last
+// pending entry went is released.  The ack gate needs no scrub: the
+// engine derives it at the ack, so a vanished E link drops out of it
+// and a link that appears mid-flight never enters it.
 
 /// Replays one plan for every instance: each delivery and the ack at a
 /// fixed offset from the bcast.
@@ -627,8 +629,7 @@ TEST(EpochScrub, VanishedUnreliableLinkCancelsOnlyItsDelivery) {
   const Instance& inst = engine.instance(0);
   EXPECT_EQ(pendingTargets(inst), (std::vector<NodeId>{1, 2}));
   // Node 3 was never in the ack gate, so the gate is untouched...
-  EXPECT_EQ(inst.requiredG, (std::vector<NodeId>{1, 2}));
-  EXPECT_EQ(inst.pendingGDeliveries, 2);
+  EXPECT_EQ(ackGate(engine, 0), (std::vector<NodeId>{1, 2}));
   // ...and the instance no longer contends at node 3.
   EXPECT_TRUE(engine.liveInstancesNear(3).empty());
   EXPECT_EQ(engine.liveInstancesNear(1), (std::vector<InstanceId>{0}));
@@ -653,13 +654,12 @@ TEST(EpochScrub, VanishedReliableLinkLeavesTheAckGate) {
   engine.run(5);
   const Instance& inst = engine.instance(0);
   EXPECT_EQ(pendingTargets(inst), (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(inst.requiredG, (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(inst.pendingGDeliveries, 2);
+  EXPECT_EQ(ackGate(engine, 0), (std::vector<NodeId>{1, 3}));
 
   // Both surviving deliveries have fired one tick before the ack.
   engine.run(29);
   EXPECT_EQ(inst.deliveredTo, (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(inst.pendingGDeliveries, 0);
+  EXPECT_TRUE(ackGate(engine, 0).empty());
 
   // The ack fires with node 2 never served: the engine asserts the
   // gate is empty at the ack, so a stale gate would throw here.
@@ -684,7 +684,7 @@ TEST(EpochScrub, SurvivingEntriesKeepTheSwapRemoveLayout) {
   engine.run(5);
   const Instance& inst = engine.instance(0);
   EXPECT_EQ(pendingTargets(inst), (std::vector<NodeId>{4, 2}));
-  EXPECT_EQ(inst.requiredG, (std::vector<NodeId>{2, 4}));
+  EXPECT_EQ(ackGate(engine, 0), (std::vector<NodeId>{2, 4}));
 
   engine.run();
   // Surviving deliveries still fire at their planned times.  The body
@@ -774,8 +774,7 @@ TEST(EpochScrub, CrashedSenderDeliversNothingButStillAcks) {
   engine.run(5);
   const Instance& inst = engine.instance(0);
   EXPECT_TRUE(inst.pending.empty());
-  EXPECT_TRUE(inst.requiredG.empty());
-  EXPECT_EQ(inst.pendingGDeliveries, 0);
+  EXPECT_TRUE(ackGate(engine, 0).empty());
   for (NodeId j = 1; j <= 4; ++j) {
     EXPECT_TRUE(engine.liveInstancesNear(j).empty()) << "node " << j;
   }
@@ -805,7 +804,7 @@ TEST(EpochScrub, ReturningLinkDoesNotReviveACancelledDelivery) {
   const Instance& inst = engine.instance(0);
   EXPECT_EQ(pendingTargets(inst), (std::vector<NodeId>{1}));
   // The gate covers only links live for the whole [bcast, ack] window.
-  EXPECT_EQ(inst.requiredG, (std::vector<NodeId>{1}));
+  EXPECT_EQ(ackGate(engine, 0), (std::vector<NodeId>{1}));
 
   EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
   EXPECT_EQ(engine.stats().forcedRcvs, 1u);
@@ -816,6 +815,60 @@ TEST(EpochScrub, ReturningLinkDoesNotReviveACancelledDelivery) {
   EXPECT_EQ(rcvAt2, 24);
   EXPECT_EQ(receiversOf(engine.trace(), 0), (std::vector<NodeId>{1, 2}));
   EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
+}
+
+// An E link that appears mid-flight obliges nothing for an instance
+// already in flight: node 2 turns reliable at 20, after the bcast, so
+// it never enters the gate and the ack at 30 does not wait for it.
+// Its need window [20, 30 - Fprog - 1] is empty, so the guard forces
+// nothing either.
+TEST(EpochScrub, AppearingReliableLinkStaysOutOfTheAckGate) {
+  const auto base = hub(1, 1);
+  const auto view = withBoundary(
+      base, 20, {{graph::TopologyEvent::Kind::kEdgeUp, 0, 2, true}});
+  MacEngine engine(view, stdParams(16, 32),
+                   std::make_unique<FixedPlanScheduler>(
+                       std::vector<PlannedDelivery>{{1, 10}}, 30),
+                   hubSender(1), 1);
+  engine.run(20);
+  EXPECT_TRUE(engine.topology().g().hasEdge(0, 2));
+  EXPECT_TRUE(ackGate(engine, 0).empty());
+
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(engine.stats().acks, 1u);
+  EXPECT_EQ(engine.record(0).termAt, 30);
+  EXPECT_EQ(receiversOf(engine.trace(), 0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(engine.stats().forcedRcvs, 0u);
+  EXPECT_TRUE(checkTrace(view, engine.params(), engine.trace()).ok);
+}
+
+// The engine checks the gate at every ack while plans are validated.
+// The plan leaves node 2 out; it gets in with validation off, and
+// validation is back on when the ack fires.  Fack = Fprog, so the
+// guard owes nothing and only the gate can object.
+TEST(EpochScrub, AckAssertsItsGateUnderValidation) {
+  const auto base = hub(2, 0);
+  const auto bcastUnchecked = [](const graph::TopologyView& view) {
+    auto engine = std::make_unique<MacEngine>(
+        view, stdParams(4, 4),
+        std::make_unique<FixedPlanScheduler>(
+            std::vector<PlannedDelivery>{{1, 3}}, 4),
+        hubSender(1), 1);
+    engine->setPlanValidation(false);
+    engine->run(0);
+    engine->setPlanValidation(true);
+    return engine;
+  };
+  const graph::TopologyView staticView(base);
+  EXPECT_THROW(bcastUnchecked(staticView)->run(), Error);
+  // Dropping node 1's link leaves node 2 owed.
+  const auto drop1 = withBoundary(base, 2, {edgeDown(0, 1)});
+  EXPECT_THROW(bcastUnchecked(drop1)->run(), Error);
+  // Dropping node 2's link releases it from the gate.
+  const auto drop2 = withBoundary(base, 2, {edgeDown(0, 2)});
+  const auto engine = bcastUnchecked(drop2);
+  EXPECT_EQ(engine->run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(engine->stats().acks, 1u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -51,12 +52,14 @@ TEST(EventQueue, RejectsPastAndNull) {
   EXPECT_THROW(q.schedule(5, [] {}), Error);
   EXPECT_THROW(q.schedule(20, nullptr), Error);
   EXPECT_THROW(q.scheduleAfter(-1, [] {}), Error);
-  // An empty std::function must be rejected at schedule time, not
-  // explode as bad_function_call when the event fires.
-  std::function<void()> empty;
-  EXPECT_THROW(q.schedule(20, empty), Error);
+  // A null function pointer is rejected at schedule time, not when the
+  // event fires.
   void (*nullFp)() = nullptr;
   EXPECT_THROW(q.schedule(20, nullFp), Error);
+  // Only trivially copyable callables convert: a std::function, which
+  // may own anything, does not compile.
+  static_assert(std::is_constructible_v<EventFn, void (*)()>);
+  static_assert(!std::is_constructible_v<EventFn, std::function<void()>>);
 }
 
 TEST(EventQueue, Cancel) {
@@ -143,10 +146,13 @@ TEST(EventQueue, CancelMiddleKeepsOrder) {
 TEST(EventQueue, SlotPoolReusesCapacity) {
   // Steady-state churn must recycle slots instead of growing the pool.
   EventQueue q;
-  std::function<void()> chain = [&] {
-    if (q.now() < 1000) q.scheduleAfter(1, chain);
+  struct Chain {
+    EventQueue* q;
+    void operator()() const {
+      if (q->now() < 1000) q->scheduleAfter(1, *this);
+    }
   };
-  q.schedule(0, chain);
+  q.schedule(0, Chain{&q});
   q.run();
   EXPECT_EQ(q.processedCount(), 1001u);
   EXPECT_LE(q.slotCapacity(), 4u);
@@ -187,8 +193,11 @@ TEST(EventQueue, RequestStop) {
 TEST(EventQueue, EventLimit) {
   EventQueue q;
   // A self-perpetuating chain is cut by the safety cap.
-  std::function<void()> loop = [&] { q.scheduleAfter(1, loop); };
-  q.schedule(0, loop);
+  struct Loop {
+    EventQueue* q;
+    void operator()() const { q->scheduleAfter(1, *this); }
+  };
+  q.schedule(0, Loop{&q});
   EXPECT_EQ(q.run(kTimeNever, 100), RunStatus::kEventLimit);
   EXPECT_EQ(q.processedCount(), 100u);
 }

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "mac/engine.h"
 #include "mac/params.h"
 #include "sim/trace.h"
 
@@ -36,6 +37,24 @@ inline std::vector<NodeId> receiversOf(const sim::Trace& trace,
     }
   });
   return receivers;
+}
+
+/// The ack gate of unsettled instance `id` right now, ascending: the
+/// sender's current G-neighbors whose link has been live since the
+/// bcast and that have not received the packet yet.  Under plan
+/// validation the engine asserts it is empty at the ack.
+inline std::vector<NodeId> ackGate(const mac::MacEngine& engine,
+                                   InstanceId id) {
+  const mac::Instance& inst = engine.instance(id);
+  std::vector<NodeId> gate;
+  for (NodeId j : engine.topology().g().neighbors(inst.sender)) {
+    if (!inst.hasDeliveredTo(j) &&
+        engine.view().gEdgeLiveSince(engine.currentEpoch(), inst.sender, j) <=
+            inst.bcastAt) {
+      gate.push_back(j);
+    }
+  }
+  return gate;
 }
 
 }  // namespace ammb::testutil

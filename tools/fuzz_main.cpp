@@ -10,9 +10,12 @@
 // reported a violation (printing every shrunk counterexample).  With a
 // mutation, the exit logic flips: the run fails iff the oracles did
 // NOT catch the broken scheduler.  --json writes a BENCH_fuzz.json
-// summary (executions, violations, coverage) for CI health tracking;
-// the golden flags regenerate or verify the canonical snapshot suite.
+// summary (executions, violations, coverage, and every case's trace
+// hash) that `ammb_sweep compare --ignore-key wall_seconds` gates
+// against sweeps/baselines/BENCH_fuzz.json; the golden flags
+// regenerate or verify the canonical snapshot suite.
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -56,16 +59,20 @@ void writeJsonSummary(const std::string& path, const check::FuzzSpec& spec,
   }
   out << "\n  },\n"
       << "  \"cases\": [";
-  // Per-case execution-substrate provenance.  sampleCase is a pure
-  // function of (spec, iteration), so this is exactly the rotation the
-  // campaign ran — re-derivable, but recorded here so a CI consumer can
-  // see which iterations exercised which MAC layer without
-  // rebuilding the sampler.
+  // Per-case provenance and outcome.  sampleCase is a pure function of
+  // (spec, iteration), so the labels are exactly the rotation the
+  // campaign ran; the trace hash pins what each case executed.  It is a
+  // hex string because a JSON number loses the bits above 2^53.
   for (int i = 0; i < spec.iterations; ++i) {
     const check::FuzzCase c = check::sampleCase(spec, i);
+    char hash[20];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(
+                      result.traceHashes[static_cast<std::size_t>(i)]));
     out << (i == 0 ? "\n" : ",\n") << "    {\"iteration\": " << i
         << ", \"protocol\": \"" << core::toString(c.protocol)
-        << "\", \"mac\": \"" << c.realization.label() << "\"}";
+        << "\", \"mac\": \"" << c.realization.label()
+        << "\", \"trace_hash\": \"0x" << hash << "\"}";
   }
   out << "\n  ]\n}\n";
   std::cout << "wrote " << path << "\n";
