@@ -5,7 +5,13 @@
 //   churn        — a bounded window of self-rescheduling events
 //                  (steady-state simulation; slot reuse vs. realloc);
 //   cancel-heavy — schedule/cancel pairs plus a drain (abort paths and
-//                  guard re-arming; O(log n) removal in place).
+//                  guard re-arming; removal in place).
+//
+// Churn's delays of 1-7 ticks stay inside the queue's time wheel, as
+// the engine's deliveries, acks and guard deadlines do whenever Fack
+// is below EventQueue::kWheelTicks.  Schedule+run and cancel-heavy
+// spread their events over 4096 ticks, so most take the far path: the
+// heap first, then the wheel once now() comes within kWheelTicks.
 //
 // Self-timed with std::chrono over fixed sizes; takes no arguments.
 // Each case repeats until it has handled about 2^19 queue operations

@@ -352,11 +352,36 @@ Rng& MacEngine::nodeRng(NodeId node) {
 
 // --- internal machinery -----------------------------------------------------
 
+bool MacEngine::planIsLegal(const Instance& instance,
+                            const DeliveryPlan& plan) const {
+  const Time t0 = instance.bcastAt;
+  if (plan.ackAt < t0 || plan.ackAt > t0 + params_.fack) return false;
+  planScratch_.clear();
+  for (const PlannedDelivery& d : plan.deliveries) {
+    if (d.at < t0 || d.at > plan.ackAt) return false;
+    planScratch_.push_back(d.target);
+  }
+  // Sorted and duplicate-free, the targets lie within the sender's G'
+  // span (which never holds the sender) and cover its G span.
+  std::sort(planScratch_.begin(), planScratch_.end());
+  const graph::Graph::Span gp = dual_->gPrime().neighbors(instance.sender);
+  const graph::Graph::Span g = dual_->g().neighbors(instance.sender);
+  return std::adjacent_find(planScratch_.begin(), planScratch_.end()) ==
+             planScratch_.end() &&
+         std::includes(gp.begin(), gp.end(), planScratch_.begin(),
+                       planScratch_.end()) &&
+         std::includes(planScratch_.begin(), planScratch_.end(), g.begin(),
+                       g.end());
+}
+
 void MacEngine::validatePlan(const Instance& instance,
                              const DeliveryPlan& plan) const {
-  // Rejections carry the instance id, the offending node and the
-  // violated constraint's actual values: plan bring-up for hand-built
-  // or physically-derived schedulers is debugged from these messages.
+  if (planIsLegal(instance, plan)) return;
+  // An illegal plan is checked again delivery by delivery, so the first
+  // violation in plan order is the one reported.  Rejections carry the
+  // instance id, the offending node and the violated constraint's
+  // actual values: plan bring-up for hand-built or physically-derived
+  // schedulers is debugged from these messages.
   const Time t0 = instance.bcastAt;
   const auto who = [&instance, t0] {
     return "instance " + std::to_string(instance.id) + " (sender " +
@@ -410,10 +435,13 @@ void MacEngine::performDelivery(InstanceId id, NodeId receiver, bool forced) {
   Instance& inst = body(id);
   AMMB_ASSERT(!inst.hasDeliveredTo(receiver));
 
-  // Drop the planned event if the guard preempted it.
-  if (const Instance::PendingDelivery* pd = inst.findPending(receiver)) {
-    queue_.cancel(pd->handle);
-    inst.removePending(receiver);
+  // A forced delivery preempts the planned one, if any is still pending;
+  // a planned delivery event has already removed its own entry.
+  if (forced) {
+    if (const Instance::PendingDelivery* pd = inst.findPending(receiver)) {
+      queue_.cancel(pd->handle);
+      inst.removePending(receiver);
+    }
   }
 
   inst.markDelivered(receiver);

@@ -237,6 +237,10 @@ class MacEngine : public MacLayer {
   // Internal machinery ----------------------------------------------------
   void fireArrive(NodeId node, MsgId msg);
   void scheduleNextArrival();
+  /// True if `plan` is legal for `instance`: one pass over the windows,
+  /// then merges of the sorted targets against the adjacency spans.
+  bool planIsLegal(const Instance& instance, const DeliveryPlan& plan) const;
+  /// Throws on the first violation of an illegal plan, in plan order.
   void validatePlan(const Instance& instance, const DeliveryPlan& plan) const;
   void performDelivery(InstanceId id, NodeId receiver, bool forced);
   void onDeliveryEvent(InstanceId id, NodeId receiver);
@@ -292,8 +296,8 @@ class MacEngine : public MacLayer {
   std::unordered_map<TimerId, sim::EventHandle> timers_;
   TimerId nextTimer_ = 1;
 
-  /// Scratch: sorted receiver ids for validatePlan (replaces a
-  /// per-call unordered_set).
+  /// Scratch: sorted receiver ids for planIsLegal and validatePlan
+  /// (replaces a per-call unordered_set).
   mutable std::vector<NodeId> planScratch_;
 };
 

@@ -5,6 +5,20 @@
 namespace ammb::mac {
 
 namespace {
+/// Calls `f(j)` for every G'-only neighbor j of `sender`, in ascending
+/// order: one merge of the two sorted adjacency spans.
+template <typename F>
+void forEachUnreliableNeighbor(const graph::DualGraph& topo, NodeId sender,
+                               F&& f) {
+  const graph::Graph::Span g = topo.g().neighbors(sender);
+  const NodeId* gi = g.begin();
+  for (NodeId j : topo.gPrime().neighbors(sender)) {
+    while (gi != g.end() && *gi < j) ++gi;
+    if (gi != g.end() && *gi == j) continue;
+    f(j);
+  }
+}
+
 /// Deliveries to every G-neighbor at `gAt`, plus (optionally) every
 /// G'-only neighbor at `gpAt` (skipped when gpAt == kTimeNever).
 DeliveryPlan uniformPlan(const MacEngine& engine, const Instance& instance,
@@ -12,15 +26,14 @@ DeliveryPlan uniformPlan(const MacEngine& engine, const Instance& instance,
   DeliveryPlan plan;
   plan.ackAt = ackAt;
   const auto& topo = engine.topology();
+  plan.deliveries.reserve(topo.gPrime().degree(instance.sender));
   for (NodeId j : topo.g().neighbors(instance.sender)) {
     plan.deliveries.push_back({j, gAt});
   }
   if (gpAt != kTimeNever) {
-    for (NodeId j : topo.gPrime().neighbors(instance.sender)) {
-      if (!topo.g().hasEdge(instance.sender, j)) {
-        plan.deliveries.push_back({j, gpAt});
-      }
-    }
+    forEachUnreliableNeighbor(topo, instance.sender, [&](NodeId j) {
+      plan.deliveries.push_back({j, gpAt});
+    });
   }
   return plan;
 }
@@ -55,6 +68,7 @@ DeliveryPlan RandomScheduler::planBcast(const Instance& instance) {
   const Time t0 = instance.bcastAt;
   DeliveryPlan plan;
   const auto& topo = engine_->topology();
+  plan.deliveries.reserve(topo.gPrime().degree(instance.sender));
   Time latestG = t0;
   for (NodeId j : topo.g().neighbors(instance.sender)) {
     const Time at = t0 + rng.uniformInt(1, p.fprog);
@@ -62,11 +76,10 @@ DeliveryPlan RandomScheduler::planBcast(const Instance& instance) {
     plan.deliveries.push_back({j, at});
   }
   plan.ackAt = rng.uniformInt(latestG, t0 + p.fack);
-  for (NodeId j : topo.gPrime().neighbors(instance.sender)) {
-    if (topo.g().hasEdge(instance.sender, j)) continue;
-    if (!rng.bernoulli(options_.pUnreliable)) continue;
+  forEachUnreliableNeighbor(topo, instance.sender, [&](NodeId j) {
+    if (!rng.bernoulli(options_.pUnreliable)) return;
     plan.deliveries.push_back({j, rng.uniformInt(t0, plan.ackAt)});
-  }
+  });
   return plan;
 }
 
@@ -95,12 +108,10 @@ DeliveryPlan AdversarialScheduler::planBcast(const Instance& instance) {
   DeliveryPlan plan =
       uniformPlan(*engine_, instance, ackAt, kTimeNever, ackAt);
   if (options_.stuffUnreliable) {
-    const auto& topo = engine_->topology();
-    for (NodeId j : topo.gPrime().neighbors(instance.sender)) {
-      if (!topo.g().hasEdge(instance.sender, j)) {
-        plan.deliveries.push_back({j, instance.bcastAt + 1});
-      }
-    }
+    forEachUnreliableNeighbor(
+        engine_->topology(), instance.sender, [&](NodeId j) {
+          plan.deliveries.push_back({j, instance.bcastAt + 1});
+        });
   }
   return plan;
 }

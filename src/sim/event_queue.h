@@ -6,21 +6,40 @@
 // chains (the "no time passes" extensions used throughout the paper's
 // lower-bound constructions) are expressed by scheduling at `now()`.
 //
-// Storage is a slot pool plus an index-tracked binary heap:
+// Storage is a slot pool plus a time wheel with a heap behind it:
 //
 //   * each pending event lives in a pooled slot; freed slots are reused,
 //     so steady-state scheduling performs no allocation (the callable
 //     itself is an EventFn with inline storage);
-//   * handles are generation-tagged slot references, so cancel() is an
-//     O(log n) true removal — no tombstones, no lazy reaping — and a
-//     stale handle (event already ran or was cancelled) is rejected in
-//     O(1);
-//   * the heap tracks each slot's position (a dense hot array separate
-//     from the callables), which is what makes the in-place removal
-//     possible.  kArity is 2: wider heaps halve the sift depth but the
-//     branchy (time, seq) child scans measure slower in bench_event_queue.
+//   * handles are generation-tagged slot references, so cancel() is a
+//     true removal — no tombstones, no lazy reaping — and a stale handle
+//     (event already ran or was cancelled) is rejected in O(1);
+//   * an event less than kWheelTicks ahead of now() goes into a ring of
+//     one-tick buckets, bucket (time mod kWheelTicks).  Each bucket is a
+//     FIFO list threaded through the slots' prev/next links, and an
+//     occupancy bitmap finds the next non-empty tick, so schedule, pop
+//     and cancel are O(1).  The abstract MAC layer bounds every event an
+//     instance causes by its bcast + Fack, so with Fack < kWheelTicks
+//     the engine's deliveries, acks and guard deadlines all stay here;
+//   * an event kWheelTicks or more ahead goes to a (time, seq) binary
+//     heap that tracks each slot's position, so cancel removes it in
+//     place in O(log n).
+//
+// Why the order is exact.  Invariant: every heap event lies at or
+// beyond now() + kWheelTicks.  Whenever run() advances now() — after its
+// limit checks, before the new tick's first event — it moves the heap's
+// events below now() + kWheelTicks into their buckets, in heap order.
+// So the wheel only ever holds times in [now(), now() + kWheelTicks), one
+// tick per bucket.  Within a tick t, an event reached the heap while
+// now() <= t - kWheelTicks, and one went straight into the wheel while
+// now() > t - kWheelTicks; time only moves forward, so every heap event
+// for t was scheduled before every direct one.  It also reaches the
+// bucket first: the move happens at the very advance that lets direct
+// events for t in.  Appending at the tail then keeps each bucket in
+// insertion order.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -50,6 +69,10 @@ const char* toString(RunStatus status);
 /// A monotone discrete-event executor.
 class EventQueue {
  public:
+  /// Width of the time wheel in ticks: events closer than this to now()
+  /// are bucketed, later ones wait in the heap.
+  static constexpr std::uint32_t kWheelTicks = 256;
+
   EventQueue() = default;
 
   /// Current simulated time.  Starts at 0.
@@ -84,22 +107,34 @@ class EventQueue {
 
   /// Number of events currently pending.  Cancelled events are removed
   /// eagerly and never counted.
-  std::size_t pendingCount() const { return heap_.size(); }
+  std::size_t pendingCount() const { return wheelCount_ + heap_.size(); }
 
   /// Pooled slots currently allocated (pending + free-listed).
   std::size_t slotCapacity() const { return meta_.size(); }
 
  private:
-  static constexpr std::uint32_t kNoPos = 0xffffffffu;
-  static constexpr std::uint32_t kArity = 2;
+  static_assert((kWheelTicks & (kWheelTicks - 1)) == 0 && kWheelTicks >= 64,
+                "the wheel is a whole number of 64-bit bitmap words");
+  static constexpr std::uint32_t kWords = kWheelTicks / 64;
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// SlotMeta::pos of a free slot.
+  static constexpr std::uint32_t kFree = 0xffffffffu;
+  /// SlotMeta::pos of a bucketed slot is kInWheel | bucket; below it,
+  /// pos is a heap index.
+  static constexpr std::uint32_t kInWheel = 0x80000000u;
 
-  // Slot storage is split hot/cold: sifting rewrites a back-pointer per
-  // moved entry, so positions (with the generation needed by cancel)
-  // live in a dense 8-byte-per-slot array that stays cache-resident,
-  // while the fat callable is touched only once per schedule/execute.
+  // Slot storage is split hot/cold: linking, unlinking and sifting
+  // touch only this dense 16-byte-per-slot array, while the fat
+  // callable is touched once per schedule/execute.
   struct SlotMeta {
     std::uint32_t generation = 0;
-    std::uint32_t heapPos = kNoPos;
+    std::uint32_t pos = kFree;
+    std::uint32_t prev = kNil;  ///< bucket neighbors (kNil at the ends)
+    std::uint32_t next = kNil;
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
   struct HeapEntry {
     Time at;
@@ -117,17 +152,35 @@ class EventQueue {
            (static_cast<EventHandle>(slot) + 1);
   }
 
+  static std::uint32_t bucketOf(Time at) {
+    return static_cast<std::uint32_t>(at) & (kWheelTicks - 1);
+  }
+
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t slot);
+
+  void wheelAppend(std::uint32_t slot, std::uint32_t bucket);
+  void wheelUnlink(std::uint32_t slot);
+  /// Ticks from now() to the earliest bucketed event (0 when now()'s own
+  /// bucket is non-empty).  Requires wheelCount_ > 0.
+  Time wheelDistance() const;
+  /// Sets now() to `at` and moves every heap event below the new
+  /// horizon into its bucket.
+  void advanceTo(Time at);
+
+  void heapPush(Time at, std::uint32_t slot);
   void heapRemoveAt(std::uint32_t pos);
   void popRoot();
   void siftUp(std::uint32_t pos);
   void siftDown(std::uint32_t pos);
   void place(std::uint32_t pos, HeapEntry entry) {
     heap_[pos] = entry;
-    meta_[entry.slot].heapPos = pos;
+    meta_[entry.slot].pos = pos;
   }
 
+  std::array<Bucket, kWheelTicks> buckets_{};
+  std::array<std::uint64_t, kWords> occupied_{};
+  std::size_t wheelCount_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<SlotMeta> meta_;
   std::vector<EventFn> fns_;

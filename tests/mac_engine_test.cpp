@@ -2,7 +2,9 @@
 // standard/enhanced model split, abort semantics, progress forcing.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "check/golden.h"
 #include "core/bmmb.h"
@@ -142,7 +144,7 @@ TEST(MacEngine, StandardModelForbidsClockAndAbort) {
 class BrokenScheduler : public Scheduler {
  public:
   enum class Flaw { kLateAck, kMissGNeighbor, kDuplicateTarget, kOutsideGp,
-                    kDeliveryAfterAck };
+                    kDeliveryAfterAck, kToSender, kOutsideGpThenAfterAck };
   explicit BrokenScheduler(Flaw flaw) : flaw_(flaw) {}
 
   DeliveryPlan planBcast(const Instance& inst) override {
@@ -171,6 +173,14 @@ class BrokenScheduler : public Scheduler {
       case Flaw::kDeliveryAfterAck:
         plan.deliveries.front().at = plan.ackAt + 1;
         break;
+      case Flaw::kToSender:
+        plan.deliveries.push_back({inst.sender, inst.bcastAt + 1});
+        break;
+      case Flaw::kOutsideGpThenAfterAck:
+        // Two flaws: the first delivery in plan order is reported.
+        plan.deliveries.insert(plan.deliveries.begin(), {3, inst.bcastAt + 1});
+        plan.deliveries.back().at = plan.ackAt + 1;
+        break;
     }
     return plan;
   }
@@ -191,13 +201,26 @@ class SendOnce : public Process {
 TEST(MacEngine, RejectsIllegalPlans) {
   const auto topo = gen::identityDual(gen::line(4));
   using Flaw = BrokenScheduler::Flaw;
-  for (Flaw flaw : {Flaw::kLateAck, Flaw::kMissGNeighbor,
-                    Flaw::kDuplicateTarget, Flaw::kOutsideGp,
-                    Flaw::kDeliveryAfterAck}) {
+  const std::pair<Flaw, const char*> cases[] = {
+      {Flaw::kLateAck, "violates the acknowledgment bound"},
+      {Flaw::kMissGNeighbor, "misses reliable (G) neighbor"},
+      {Flaw::kDuplicateTarget, "delivers twice"},
+      {Flaw::kOutsideGp, "not a G'-neighbor"},
+      {Flaw::kDeliveryAfterAck, "outside [bcast, ack]"},
+      {Flaw::kToSender, "delivers to the sender itself"},
+      {Flaw::kOutsideGpThenAfterAck, "not a G'-neighbor"},
+  };
+  for (const auto& [flaw, message] : cases) {
     MacEngine engine(topo, stdParams(),
                      std::make_unique<BrokenScheduler>(flaw),
                      [](NodeId) { return std::make_unique<SendOnce>(); }, 1);
-    EXPECT_THROW(engine.run(), Error) << "flaw " << static_cast<int>(flaw);
+    try {
+      engine.run();
+      ADD_FAILURE() << "flaw " << static_cast<int>(flaw) << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << "flaw " << static_cast<int>(flaw) << ": " << e.what();
+    }
   }
 }
 

@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <optional>
+#include <set>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/trace.h"
 
@@ -200,6 +206,245 @@ TEST(EventQueue, EventLimit) {
   q.schedule(0, Loop{&q});
   EXPECT_EQ(q.run(kTimeNever, 100), RunStatus::kEventLimit);
   EXPECT_EQ(q.processedCount(), 100u);
+}
+
+// --- the time wheel's horizon -------------------------------------------------
+
+static_assert(EventQueue::kWheelTicks == 256,
+              "the horizon tests below are laid out for a 256-tick wheel");
+
+TEST(EventQueue, HorizonKeepsInsertionOrder) {
+  // Three events for t = 300 go in at different times.  A (at t = 0) and
+  // C (at t = 44, exactly 256 ahead) wait in the heap; B (at t = 100)
+  // goes straight into the wheel.  They run in insertion order, so the
+  // heap's two must reach their bucket before B does.
+  EventQueue q;
+  std::vector<std::pair<char, Time>> ran;
+  const auto note = [&](char name) { ran.emplace_back(name, q.now()); };
+  q.schedule(300, [&] { note('A'); });
+  q.schedule(44, [&] { q.schedule(300, [&] { note('C'); }); });
+  q.schedule(100, [&] {
+    q.schedule(300, [&] { note('B'); });
+    q.schedule(355, [&] { note('D'); });  // 255 ahead: the wheel's far end
+  });
+  EXPECT_EQ(q.run(), RunStatus::kDrained);
+  EXPECT_EQ(ran, (std::vector<std::pair<char, Time>>{
+                     {'A', 300}, {'C', 300}, {'B', 300}, {'D', 355}}));
+}
+
+TEST(EventQueue, TimeLimitBeforeAMigrationLeavesNowAlone) {
+  // The limit stops the run before it advances to 600, so nothing may
+  // move 600 into the wheel yet: 10's horizon still ends at 266.
+  EventQueue q;
+  std::vector<Time> ran;
+  const auto note = [&] { ran.push_back(q.now()); };
+  q.schedule(10, [&] { note(); });
+  q.schedule(600, [&] { note(); });
+  EXPECT_EQ(q.run(300), RunStatus::kTimeLimit);
+  EXPECT_EQ(q.now(), 10);
+  EXPECT_EQ(q.pendingCount(), 1u);
+  q.schedule(265, [&] { note(); });  // inside the horizon
+  q.schedule(301, [&] { note(); });  // beyond it
+  EXPECT_EQ(q.pendingCount(), 3u);
+  EXPECT_EQ(q.run(), RunStatus::kDrained);
+  EXPECT_EQ(ran, (std::vector<Time>{10, 265, 301, 600}));
+}
+
+TEST(EventQueue, CancelsOnBothSidesOfTheHorizon) {
+  EventQueue q;
+  std::vector<int> ran;
+  std::vector<EventHandle> h;
+  const auto add = [&](Time at) {
+    const int id = static_cast<int>(h.size());
+    h.push_back(q.schedule(at, [&ran, id] { ran.push_back(id); }));
+  };
+  for (int i = 0; i < 5; ++i) add(10);    // 0..4: one bucket
+  for (int i = 0; i < 3; ++i) add(1000);  // 5..7: the heap
+  add(20);                                // 8: alone in its bucket
+  std::size_t pending = 9;
+  EXPECT_EQ(q.pendingCount(), pending);
+  // The bucket's head, tail and a middle entry, a heap event, and the
+  // lone entry that leaves its bucket empty.
+  for (int id : {0, 4, 2, 6, 8}) {
+    EXPECT_TRUE(q.cancel(h[static_cast<std::size_t>(id)])) << id;
+    EXPECT_EQ(q.pendingCount(), --pending) << id;
+    EXPECT_FALSE(q.cancel(h[static_cast<std::size_t>(id)])) << id;
+    EXPECT_EQ(q.pendingCount(), pending) << id;
+  }
+  add(10);  // 9: lines up behind the bucket's new tail, 3
+  EXPECT_EQ(q.run(), RunStatus::kDrained);
+  EXPECT_EQ(ran, (std::vector<int>{1, 3, 9, 5, 7}));
+  EXPECT_EQ(q.now(), 1000);
+  for (EventHandle handle : h) EXPECT_FALSE(q.cancel(handle));
+}
+
+/// One side of the differential test below: a queue running a random
+/// workload.  Events are named by the order they were scheduled in.
+/// Each event logs itself, schedules up to two follow-ups (none once
+/// kMaxIds events exist, so a drain ends) and cancels a random earlier
+/// event, live or stale; its choices come from its id alone, so two
+/// sides make the same ones while they run the same events in the same
+/// order.
+class DifferentialSide {
+ public:
+  virtual ~DifferentialSide() = default;
+  virtual RunStatus run(Time timeLimit, std::uint64_t maxEvents) = 0;
+  virtual Time now() const = 0;
+  virtual std::size_t pending() const = 0;
+
+  static constexpr std::uint32_t kMaxIds = 12'000;
+
+  /// A delay from each side of the wheel's edges and beyond.
+  static Time drawDelay(Rng& rng) {
+    switch (rng.uniformInt(0, 5)) {
+      case 0: return rng.uniformInt(0, 3);
+      case 1: return rng.uniformInt(31, 33);
+      case 2: return rng.uniformInt(254, 258);
+      case 3: return rng.uniformInt(511, 513);
+      case 4: return 4096;
+      default: return 100'000;
+    }
+  }
+
+  void add(Time at) { scheduleId(at, nextId_++); }
+  void cancel(std::uint32_t id) { cancels_.push_back(cancelId(id)); }
+
+  void fire(std::uint32_t id) {
+    ran_.push_back(id);
+    Rng rng(0x9e3779b97f4a7c15ull * (id + 1));
+    const auto followUps = (rng.uniformInt(0, 3) + 1) / 2;  // 0, 1, 1, 2
+    for (std::int64_t k = 0; k < followUps && nextId_ < kMaxIds; ++k) {
+      add(now() + drawDelay(rng));
+    }
+    if (rng.bernoulli(0.4)) {
+      // Half the targets are recent, so many are still pending.
+      const std::int64_t newest = std::int64_t{nextId_} - 1;
+      const std::int64_t oldest =
+          rng.bernoulli(0.5) ? 0 : std::max<std::int64_t>(0, newest - 63);
+      cancel(static_cast<std::uint32_t>(rng.uniformInt(oldest, newest)));
+    }
+  }
+
+  std::uint32_t nextId() const { return nextId_; }
+  const std::vector<std::uint32_t>& ran() const { return ran_; }
+  const std::vector<bool>& cancels() const { return cancels_; }
+  std::size_t operations() const {
+    return ran_.size() + cancels_.size() + nextId_;
+  }
+
+ protected:
+  virtual void scheduleId(Time at, std::uint32_t id) = 0;
+  virtual bool cancelId(std::uint32_t id) = 0;
+
+ private:
+  std::uint32_t nextId_ = 0;
+  std::vector<std::uint32_t> ran_;
+  std::vector<bool> cancels_;
+};
+
+class WheelSide : public DifferentialSide {
+ public:
+  RunStatus run(Time timeLimit, std::uint64_t maxEvents) override {
+    return q_.run(timeLimit, maxEvents);
+  }
+  Time now() const override { return q_.now(); }
+  std::size_t pending() const override { return q_.pendingCount(); }
+
+ protected:
+  void scheduleId(Time at, std::uint32_t id) override {
+    struct Fire {
+      WheelSide* side;
+      std::uint32_t id;
+      void operator()() const { side->fire(id); }
+    };
+    handles_.push_back(q_.schedule(at, Fire{this, id}));
+  }
+  bool cancelId(std::uint32_t id) override { return q_.cancel(handles_[id]); }
+
+ private:
+  EventQueue q_;
+  std::vector<EventHandle> handles_;
+};
+
+/// (time, seq, id) in a std::set, with run()'s limit contract.
+class ReferenceSide : public DifferentialSide {
+ public:
+  RunStatus run(Time timeLimit, std::uint64_t maxEvents) override {
+    std::uint64_t executed = 0;
+    while (!pending_.empty()) {
+      const Key top = *pending_.begin();
+      if (std::get<0>(top) > timeLimit) return RunStatus::kTimeLimit;
+      if (executed >= maxEvents) return RunStatus::kEventLimit;
+      pending_.erase(pending_.begin());
+      keys_[std::get<2>(top)].reset();
+      now_ = std::get<0>(top);
+      ++executed;
+      fire(std::get<2>(top));
+    }
+    return RunStatus::kDrained;
+  }
+  Time now() const override { return now_; }
+  std::size_t pending() const override { return pending_.size(); }
+
+ protected:
+  void scheduleId(Time at, std::uint32_t id) override {
+    const Key key{at, seq_++, id};
+    pending_.insert(key);
+    keys_.emplace_back(key);
+  }
+  bool cancelId(std::uint32_t id) override {
+    if (!keys_[id].has_value()) return false;
+    pending_.erase(*keys_[id]);
+    keys_[id].reset();
+    return true;
+  }
+
+ private:
+  using Key = std::tuple<Time, std::uint64_t, std::uint32_t>;
+  std::set<Key> pending_;
+  std::vector<std::optional<Key>> keys_;
+  std::uint64_t seq_ = 0;
+  Time now_ = 0;
+};
+
+TEST(EventQueue, MatchesAReferenceQueue) {
+  WheelSide wheel;
+  ReferenceSide reference;
+  DifferentialSide* const sides[] = {&wheel, &reference};
+  Rng rng(20261019);
+  constexpr Time kLimitSteps[] = {0, 1, 3, 32, 255, 256, 257, 600, 4096,
+                                  100'000};
+  int chunk = 0;
+  while (wheel.operations() < 20'000) {
+    // Between chunks, from outside run(): fresh events, and a cancel.
+    const auto fresh = rng.uniformInt(0, wheel.pending() < 50 ? 30 : 6);
+    for (std::int64_t k = 0; k < fresh; ++k) {
+      const Time at = wheel.now() + DifferentialSide::drawDelay(rng);
+      for (DifferentialSide* side : sides) side->add(at);
+    }
+    if (rng.bernoulli(0.5)) {
+      const auto id =
+          static_cast<std::uint32_t>(rng.uniformInt(0, wheel.nextId() - 1));
+      for (DifferentialSide* side : sides) side->cancel(id);
+    }
+    const Time limit =
+        rng.bernoulli(0.1)
+            ? kTimeNever
+            : wheel.now() + kLimitSteps[rng.uniformInt(0, 9)];
+    const auto maxEvents = static_cast<std::uint64_t>(rng.uniformInt(0, 300));
+    const RunStatus status = wheel.run(limit, maxEvents);
+    ASSERT_EQ(status, reference.run(limit, maxEvents)) << "chunk " << chunk;
+    ASSERT_EQ(wheel.ran(), reference.ran()) << "chunk " << chunk;
+    ASSERT_EQ(wheel.cancels(), reference.cancels()) << "chunk " << chunk;
+    ASSERT_EQ(wheel.now(), reference.now()) << "chunk " << chunk;
+    ASSERT_EQ(wheel.pending(), reference.pending()) << "chunk " << chunk;
+    ++chunk;
+  }
+  EXPECT_EQ(wheel.run(kTimeNever, ~0ull), RunStatus::kDrained);
+  EXPECT_EQ(reference.run(kTimeNever, ~0ull), RunStatus::kDrained);
+  EXPECT_EQ(wheel.ran(), reference.ran());
+  EXPECT_EQ(wheel.now(), reference.now());
+  EXPECT_EQ(wheel.pending(), 0u);
 }
 
 TEST(Trace, RecordsAndDisable) {
