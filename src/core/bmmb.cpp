@@ -4,6 +4,19 @@
 
 namespace ammb::core {
 
+std::vector<MsgId> MsgSet::sorted() const {
+  std::vector<MsgId> out;
+  out.reserve(size());
+  for (std::uint64_t w = word_; w != 0; w &= w - 1) {
+    out.push_back(static_cast<MsgId>(__builtin_ctzll(w)));
+  }
+  if (large_ != nullptr) {
+    out.insert(out.end(), large_->begin(), large_->end());
+    std::sort(out.begin(), out.end());
+  }
+  return out;
+}
+
 void BmmbProcess::onArrive(mac::Context& ctx, MsgId msg) { get(ctx, msg); }
 
 void BmmbProcess::onReceive(mac::Context& ctx, const mac::Packet& packet) {
@@ -28,7 +41,7 @@ void BmmbProcess::onEpochChange(mac::Context& ctx,
   // covered messages cost one useless packet each at worst), ascending
   // MsgId for a deterministic re-arm order, one budget unit apiece.
   if (reaction_.none() || !change.gainedG) return;
-  std::vector<MsgId> rearm(sent_.begin(), sent_.end());
+  std::vector<MsgId> rearm = sent_.sorted();
   // The in-flight queue head is as stale as the sent set: its delivery
   // plan predates the boundary, so its ack gate never contained the
   // recovered neighbor, and its ack will move it into `sent` without
@@ -55,8 +68,7 @@ void BmmbProcess::onEpochChange(mac::Context& ctx,
 }
 
 void BmmbProcess::get(mac::Context& ctx, MsgId msg) {
-  if (rcvd_.count(msg) > 0) return;  // duplicate: discard
-  rcvd_.insert(msg);
+  if (!rcvd_.insert(msg)) return;  // duplicate: discard
   ctx.deliver(msg);
   queue_.push_back(msg);
   maybeSend(ctx);
@@ -88,29 +100,40 @@ void BmmbProcess::maybeSend(mac::Context& ctx) {
 mac::MacEngine::ProcessFactory BmmbSuite::factory() {
   return [this](NodeId node) {
     auto p = std::make_unique<BmmbProcess>(discipline_, reaction_);
-    byNode_[node] = p.get();
+    const auto i = static_cast<std::size_t>(node);
+    if (i >= byNode_.size()) byNode_.resize(i + 1, nullptr);
+    byNode_[i] = p.get();
     return p;
   };
 }
 
+const BmmbProcess* BmmbSuite::find(NodeId node) const {
+  if (node < 0 || static_cast<std::size_t>(node) >= byNode_.size()) {
+    return nullptr;
+  }
+  return byNode_[static_cast<std::size_t>(node)];
+}
+
 std::uint64_t BmmbSuite::totalRetransmits() const {
   std::uint64_t total = 0;
-  for (const auto& [node, process] : byNode_) total += process->retransmits();
+  for (const BmmbProcess* process : byNode_) {
+    if (process != nullptr) total += process->retransmits();
+  }
   return total;
 }
 
 const BmmbProcess& BmmbSuite::process(NodeId node) const {
-  auto it = byNode_.find(node);
-  AMMB_REQUIRE(it != byNode_.end(), "unknown node (engine not built yet?)");
-  return *it->second;
+  const BmmbProcess* p = find(node);
+  AMMB_REQUIRE(p != nullptr, "unknown node (engine not built yet?)");
+  return *p;
 }
 
 bool BmmbSuite::uselessFor(NodeId node, const mac::Packet& packet) const {
-  auto it = byNode_.find(node);
-  if (it == byNode_.end()) return false;
-  const auto& rcvd = it->second->received();
+  const BmmbProcess* p = find(node);
+  if (p == nullptr) return false;
+  const MsgSet& rcvd = p->received();
   return std::all_of(packet.msgs.begin(), packet.msgs.end(),
-                     [&rcvd](MsgId m) { return rcvd.count(m) > 0; });
+                     [&rcvd](MsgId m) { return rcvd.contains(m); });
 }
 
 }  // namespace ammb::core

@@ -22,12 +22,21 @@
 // its `sent` set — ascending MsgId, budget-capped, dedup'd against the
 // queue — whenever an epoch boundary hands it new G capacity, so the
 // flood resumes exactly where the outage cut it (see core/reaction.h).
+//
+// Per node that is two 16-byte MsgSets (`rcvd`, `sent`) plus the queue:
+// ids below 64 are bits of one inline word, so a run whose ids are all
+// below 64 allocates no set at all, and only ids of 64 and above go to
+// a hash set, allocated on first use.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/error.h"
 #include "common/types.h"
 #include "core/reaction.h"
 #include "mac/engine.h"
@@ -41,6 +50,47 @@ enum class QueueDiscipline : std::uint8_t {
   kFifo,    ///< the paper's BMMB
   kLifo,    ///< newest-first ablation
   kRandom,  ///< uniformly random next message (node RNG)
+};
+
+/// A set of message ids.  Ids below 64 are the bits of one inline word;
+/// any larger id goes to a hash set allocated on first use, so memory
+/// stays O(ids held) even for a stray huge id.  Ids are never negative
+/// (the engine rejects negative arrivals).
+class MsgSet {
+ public:
+  bool contains(MsgId m) const {
+    AMMB_DCHECK(m >= 0);
+    if (m < kWordBits) return (word_ >> m) & 1u;
+    return large_ != nullptr && large_->count(m) > 0;
+  }
+
+  /// Adds `m`; true iff it was not in the set yet.
+  bool insert(MsgId m) {
+    AMMB_DCHECK(m >= 0);
+    if (m < kWordBits) {
+      const std::uint64_t bit = std::uint64_t{1} << m;
+      if ((word_ & bit) != 0) return false;
+      word_ |= bit;
+      return true;
+    }
+    if (large_ == nullptr) {
+      large_ = std::make_unique<std::unordered_set<MsgId>>();
+    }
+    return large_->insert(m).second;
+  }
+
+  std::size_t size() const {
+    return static_cast<std::size_t>(__builtin_popcountll(word_)) +
+           (large_ != nullptr ? large_->size() : 0);
+  }
+
+  /// The ids, ascending.
+  std::vector<MsgId> sorted() const;
+
+ private:
+  static constexpr int kWordBits = 64;
+  std::uint64_t word_ = 0;
+  std::unique_ptr<std::unordered_set<MsgId>> large_;
 };
 
 /// One BMMB automaton.
@@ -57,14 +107,14 @@ class BmmbProcess : public mac::Process {
                      const mac::EpochChange& change) override;
 
   /// Messages this node has received (the paper's `rcvd` set).
-  const std::unordered_set<MsgId>& received() const { return rcvd_; }
+  const MsgSet& received() const { return rcvd_; }
 
   /// Messages queued but not yet acknowledged (the paper's `bcastq`).
   const std::vector<MsgId>& queue() const { return queue_; }
 
   /// Messages this node has broadcast and received an ack for (the
   /// `sent` set of Theorem 3.1's analysis).
-  const std::unordered_set<MsgId>& sent() const { return sent_; }
+  const MsgSet& sent() const { return sent_; }
 
   /// Recovery re-enqueues this node performed (0 under kNone).
   std::uint64_t retransmits() const { return retransmits_; }
@@ -73,13 +123,15 @@ class BmmbProcess : public mac::Process {
   void get(mac::Context& ctx, MsgId msg);
   void maybeSend(mac::Context& ctx);
 
+  /// First, so the duplicate test in onReceive reads the cache line the
+  /// virtual call has already loaded.
+  MsgSet rcvd_;
   QueueDiscipline discipline_;
   ReactionSpec reaction_;
   /// A vector, not a deque: it holds at most k messages, and a deque
   /// allocates a node and a map per process before anything is queued.
   std::vector<MsgId> queue_;
-  std::unordered_set<MsgId> rcvd_;
-  std::unordered_set<MsgId> sent_;
+  MsgSet sent_;
   /// Remaining recovery re-enqueues per message (lazily seeded from
   /// reaction_.retryBudget on first re-arm).
   std::unordered_map<MsgId, int> retriesLeft_;
@@ -99,18 +151,23 @@ class BmmbSuite : public mac::ProtocolOracle {
   mac::MacEngine::ProcessFactory factory();
 
   /// The process of `node`; valid once the engine was constructed.
+  /// Throws for a node the factory never created.
   const BmmbProcess& process(NodeId node) const;
 
   /// Sum of every node's recovery re-enqueues.
   std::uint64_t totalRetransmits() const;
 
-  // ProtocolOracle:
+  // ProtocolOracle (false for a node the factory never created):
   bool uselessFor(NodeId node, const mac::Packet& packet) const override;
 
  private:
+  /// The registered process of `node`, or null.
+  const BmmbProcess* find(NodeId node) const;
+
   QueueDiscipline discipline_;
   ReactionSpec reaction_;
-  std::unordered_map<NodeId, const BmmbProcess*> byNode_;
+  /// Indexed by node; null where the factory has not run.
+  std::vector<const BmmbProcess*> byNode_;
 };
 
 }  // namespace ammb::core

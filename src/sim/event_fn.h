@@ -4,11 +4,13 @@
 // simulated run.  std::function heap-allocates any capture larger than
 // its tiny SSO budget (16 bytes on libstdc++), which makes scheduling a
 // malloc/free pair.  EventFn holds one trivially copyable callable of at
-// most 48 bytes in an inline buffer plus one invoke pointer — every
-// closure the program schedules is `this` plus a few ids — so it is
-// itself trivially copyable: scheduling never allocates, and moving or
-// dropping an event is a plain copy or nothing.  Callables outside that
-// contract (a std::function, a capture that owns a container) do not
+// most 24 bytes in a pointer-aligned inline buffer plus one invoke
+// pointer — every closure the program schedules is `this` plus a few
+// ids, the largest the timer's [this, node, id] at exactly 24 bytes — so
+// it is itself trivially copyable and 32 bytes, two to a cache line:
+// scheduling never allocates, and moving or dropping an event is a
+// plain copy or nothing.  Callables outside that contract (a
+// std::function, a capture that owns a container or is larger) do not
 // convert; the converting constructor is constrained, so the mismatch
 // is a compile error at the call site.
 #pragma once
@@ -22,8 +24,8 @@ namespace ammb::sim {
 
 class EventFn {
  public:
-  static constexpr std::size_t kInlineSize = 48;
-  static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
+  static constexpr std::size_t kInlineSize = 24;
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   EventFn() noexcept = default;
   EventFn(std::nullptr_t) noexcept {}
@@ -61,5 +63,6 @@ class EventFn {
 
 static_assert(std::is_trivially_copyable_v<EventFn>,
               "moving or dropping an event is a plain copy or nothing");
+static_assert(sizeof(EventFn) == 32, "a queued callable is half a cache line");
 
 }  // namespace ammb::sim

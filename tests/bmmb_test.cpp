@@ -1,6 +1,9 @@
 // BMMB correctness across topologies, schedulers, workloads and seeds.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "check/golden.h"
 #include "core/experiment.h"
 #include "graph/generators.h"
 #include "mac/trace_checker.h"
@@ -186,6 +189,142 @@ TEST(Bmmb, DeterministicGivenSeed) {
       core::runExperiment(topo, core::bmmbProtocol(), workload, config);
   // A different seed virtually always changes the random schedule.
   EXPECT_NE(r1.stats.rcvs, r3.stats.rcvs);
+}
+
+// --- message sets beyond the inline word -------------------------------------
+// Every committed spec keeps k at or below 32, so no artifact reaches a
+// message id of 64 or above; these pin that side of core::MsgSet.
+
+TEST(MsgSet, InsertContainsSizeAndOrderAcrossTheWord) {
+  core::MsgSet set;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.sorted().empty());
+  const MsgId ids[] = {std::numeric_limits<MsgId>::max(), 64, 0, 1'000'000,
+                       127, 63};
+  std::size_t expected = 0;
+  for (MsgId id : ids) {
+    EXPECT_FALSE(set.contains(id)) << id;
+    EXPECT_TRUE(set.insert(id)) << id;
+    EXPECT_FALSE(set.insert(id)) << id;
+    EXPECT_TRUE(set.contains(id)) << id;
+    EXPECT_EQ(set.size(), ++expected);
+  }
+  for (MsgId absent : {1, 62, 65, 126, 128, 999'999}) {
+    EXPECT_FALSE(set.contains(absent)) << absent;
+  }
+  EXPECT_EQ(set.sorted(),
+            (std::vector<MsgId>{0, 63, 64, 127, 1'000'000,
+                                std::numeric_limits<MsgId>::max()}));
+  static_assert(sizeof(core::MsgSet) == 16);
+}
+
+TEST(Bmmb, MoreMessagesThanTheInlineWordHolds) {
+  Rng topoRng(11);
+  const auto topo =
+      gen::withRRestrictedNoise(gen::grid(3, 3), 2, 0.5, topoRng);
+  const auto workload = core::workloadRoundRobin(130, topo.n());
+  RunConfig config;
+  config.mac = stdParams();
+  config.scheduler = SchedulerKind::kRandom;
+  config.seed = 4;
+  config.limits.stopOnSolve = false;  // drain every queue, so sent == rcvd
+  Experiment experiment(topo, core::bmmbProtocol(), workload, config);
+  const RunResult result = experiment.run();
+  ASSERT_TRUE(result.solved);
+  for (NodeId v = 0; v < topo.n(); ++v) {
+    EXPECT_EQ(experiment.bmmbSuite().process(v).received().size(), 130u);
+    EXPECT_EQ(experiment.bmmbSuite().process(v).sent().size(), 130u);
+  }
+  // Pinned from a std::unordered_set implementation of the sets, so the
+  // values do not depend on MsgSet.
+  EXPECT_EQ(check::traceHash(experiment.engine().trace()),
+            0x4ede5a3720acd548ull);
+  EXPECT_EQ(result.solveTime, 2124);
+  const mac::EngineStats& stats = result.stats;
+  EXPECT_EQ(stats.bcasts, 1170u);
+  EXPECT_EQ(stats.rcvs, 4042u);
+  EXPECT_EQ(stats.forcedRcvs, 0u);
+  EXPECT_EQ(stats.acks, 1170u);
+  EXPECT_EQ(stats.aborts, 0u);
+  EXPECT_EQ(stats.delivers, 1170u);
+  EXPECT_EQ(stats.arrives, 130u);
+}
+
+TEST(Bmmb, RetransmitReArmsInIdOrderAcrossTheInlineWord) {
+  // Crashes late enough that recovering neighbors' sent sets hold ids on
+  // both sides of 64; the re-arm order decides which message each new
+  // instance carries, so the trace hash pins it.  Pinned from a
+  // std::unordered_set implementation of the sets.
+  struct Pin {
+    SchedulerKind scheduler;
+    std::uint64_t traceHash;
+    std::uint64_t retransmits;
+  };
+  const Pin pins[] = {
+      {SchedulerKind::kRandom, 0x2f13f8f78fdf1957ull, 374},
+      {SchedulerKind::kAdversarial, 0x81f2b469a030de44ull, 407},
+  };
+  const auto topo = gen::identityDual(gen::line(6));
+  const auto workload = core::workloadAllAtNode(70, 0);
+  core::ReactionSpec reaction;
+  reaction.kind = core::ReactionSpec::Kind::kRetransmit;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(core::toString(pin.scheduler));
+    RunConfig config;
+    config.mac = stdParams();
+    config.scheduler = pin.scheduler;
+    config.dynamics.kind = core::DynamicsSpec::Kind::kCrash;
+    config.dynamics.crashes = 3;
+    config.dynamics.period = 900;
+    config.dynamics.downFor = 450;
+    config.limits.maxTime = 50'000;
+    Experiment experiment(
+        topo, core::bmmbProtocol(core::QueueDiscipline::kFifo, reaction),
+        workload, config);
+    const RunResult result = experiment.run();
+    EXPECT_TRUE(result.solved);
+    EXPECT_EQ(check::traceHash(experiment.engine().trace()), pin.traceHash);
+    EXPECT_EQ(result.retransmits, pin.retransmits);
+  }
+}
+
+TEST(BmmbSuite, UselessForReadsEachNodesReceivedSet) {
+  // Three isolated nodes, so each node holds exactly its own arrivals.
+  graph::Graph g(3);
+  g.finalize();
+  const auto topo = gen::identityDual(std::move(g));
+  MmbWorkload workload;
+  workload.k = 128;
+  workload.arrivals = {{0, 3}, {0, 70}, {1, 100}};
+  RunConfig config;
+  config.mac = stdParams();
+  config.scheduler = SchedulerKind::kFast;
+  config.limits.stopOnSolve = false;
+  Experiment experiment(topo, core::bmmbProtocol(), workload, config);
+  experiment.run();
+  const core::BmmbSuite& suite = experiment.bmmbSuite();
+  const auto carrying = [](std::vector<MsgId> msgs) {
+    mac::Packet packet;
+    packet.msgs = std::move(msgs);
+    return packet;
+  };
+  EXPECT_TRUE(suite.uselessFor(0, carrying({3})));
+  EXPECT_TRUE(suite.uselessFor(0, carrying({70})));
+  EXPECT_TRUE(suite.uselessFor(0, carrying({70, 3})));
+  EXPECT_FALSE(suite.uselessFor(0, carrying({3, 5})));
+  EXPECT_FALSE(suite.uselessFor(0, carrying({64})));
+  EXPECT_FALSE(suite.uselessFor(0, carrying({70, 100})));
+  EXPECT_TRUE(suite.uselessFor(1, carrying({100})));
+  EXPECT_FALSE(suite.uselessFor(1, carrying({3})));
+  EXPECT_FALSE(suite.uselessFor(2, carrying({3})));
+  EXPECT_FALSE(suite.uselessFor(2, carrying({100})));
+  // A node the factory never created: not useless, whatever it carries.
+  EXPECT_FALSE(suite.uselessFor(-1, carrying({3})));
+  EXPECT_FALSE(suite.uselessFor(3, carrying({3})));
+  EXPECT_FALSE(suite.uselessFor(1'000'000, carrying({100})));
+  EXPECT_THROW(suite.process(3), Error);
+  EXPECT_THROW(suite.process(-1), Error);
+  EXPECT_EQ(suite.process(0).received().size(), 2u);
 }
 
 }  // namespace

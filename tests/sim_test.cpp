@@ -66,6 +66,24 @@ TEST(EventQueue, RejectsPastAndNull) {
   // may own anything, does not compile.
   static_assert(std::is_constructible_v<EventFn, void (*)()>);
   static_assert(!std::is_constructible_v<EventFn, std::function<void()>>);
+  // Captures of up to 24 bytes, the timer's [this, node, id], convert; a
+  // 32-byte one does not.
+  struct Ids24 {
+    void* self;
+    std::int64_t a, b;
+  };
+  struct Ids32 {
+    void* self;
+    std::int64_t a, b, c;
+  };
+  [[maybe_unused]] const auto fits = [ids = Ids24{}] { (void)ids; };
+  [[maybe_unused]] const auto tooBig = [ids = Ids32{}] { (void)ids; };
+  using Fits = std::decay_t<decltype(fits)>;
+  using TooBig = std::decay_t<decltype(tooBig)>;
+  static_assert(sizeof(Fits) == 24 && std::is_trivially_copyable_v<Fits>);
+  static_assert(sizeof(TooBig) == 32 && std::is_trivially_copyable_v<TooBig>);
+  static_assert(std::is_constructible_v<EventFn, Fits>);
+  static_assert(!std::is_constructible_v<EventFn, TooBig>);
 }
 
 TEST(EventQueue, Cancel) {

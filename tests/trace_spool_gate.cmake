@@ -1,7 +1,7 @@
 # Runs the out-of-core trace gate: one checked n = 1e5 grey-zone-field
 # run with the trace spooled to disk and the full streaming checking
 # stack attached, under an enforced peak-RSS ceiling.  The ceiling sits
-# above the streaming path (~456 MiB on the reference host, engine and
+# above the streaming path (~370 MiB on the reference host, engine and
 # checker state included) and below the in-memory-trace path, so the
 # gate fails if checked runs ever go back to holding the event log — or
 # any other O(events) buffer — in memory.  It also sits below a run
@@ -9,11 +9,13 @@
 # a live-cover count and one dead-cover end (~661 MiB), that keeps a
 # settled instance's body (packet, delivered set) instead of returning
 # it to the engine's pool, that seeds every node's 2.5 KB RNG up front
-# instead of on first use, or whose MAC checker keeps a std::set node
-# per receive instead of flat pooled slots.  The deterministic half of
-# the output document (trace hash, stats, verdict) is then diffed
-# against the committed baseline at zero tolerance; peak_rss_mb is the
-# one machine-dependent key and is excluded.
+# instead of on first use, whose MAC checker keeps a std::set node per
+# receive instead of flat pooled slots, or whose BMMB processes keep
+# their rcvd and sent sets as per-node hash sets instead of one inline
+# word each (~447 MiB).  The deterministic half of the output document
+# (trace hash, stats, verdict) is then diffed against the committed
+# baseline at zero tolerance; peak_rss_mb is the one machine-dependent
+# key and is excluded.
 #
 #   cmake -DBENCH=... -DAMMB_SWEEP=... -DBASELINE=... -DWORKDIR=...
 #         [-DRSS_CEILING_MB=N] -P trace_spool_gate.cmake
@@ -23,7 +25,7 @@ foreach(var BENCH AMMB_SWEEP BASELINE WORKDIR)
   endif()
 endforeach()
 if(NOT DEFINED RSS_CEILING_MB)
-  set(RSS_CEILING_MB 512)
+  set(RSS_CEILING_MB 416)
 endif()
 
 file(MAKE_DIRECTORY "${WORKDIR}")
