@@ -1,5 +1,6 @@
 // Event-kernel microbench: the pooled sim::EventQueue on the three
-// hot-path shapes the MAC engine exercises:
+// hot-path shapes the MAC engine exercises, with plain 16-byte events
+// like the engine's and a dispatch that reads every field:
 //
 //   schedule+run — bulk insertion then full drain (bcast planning);
 //   churn        — a bounded window of self-rescheduling events
@@ -28,6 +29,7 @@
 namespace {
 
 using ammb::Time;
+using ammb::sim::Event;
 using ammb::sim::EventQueue;
 
 // Cheap deterministic pseudo-times, so every run sees identical
@@ -38,48 +40,44 @@ inline Time mixTime(std::uint64_t i) {
   return static_cast<Time>(x % 4096);
 }
 
-// Engine-sized closure state: MacEngine's hot-path events capture
-// (this, InstanceId, NodeId) — 24 bytes, which overflows std::function's
-// 16-byte SSO; EventFn keeps it inline.
-struct EnginePayload {
-  std::uint64_t* sink;
-  std::uint64_t instance;
-  std::uint64_t target;
-  void operator()() const { *sink += instance ^ target; }
-};
-static_assert(sizeof(EnginePayload) == 24, "payload should model the engine");
+// An engine-shaped event: a delivery of instance `i` to a node.
+inline Event delivery(std::uint64_t i, std::uint64_t target) {
+  return Event{3, static_cast<ammb::NodeId>(target & 0x7fffffff),
+               static_cast<std::int64_t>(i)};
+}
+
+// Folds an event into the checksum.
+inline void consume(std::uint64_t& sink, const Event& e) {
+  sink += e.kind ^ static_cast<std::uint64_t>(e.node) ^
+          static_cast<std::uint64_t>(e.payload);
+}
 
 /// One pass: `n` schedules, then a full drain.  Returns operations.
 std::uint64_t scheduleRun(std::uint64_t n, std::uint64_t& sink) {
   EventQueue q;
   for (std::uint64_t i = 0; i < n; ++i) {
-    q.schedule(mixTime(i), EnginePayload{&sink, i, i + 1});
+    q.schedule(mixTime(i), delivery(i, i + 1));
   }
-  q.run();
+  q.run([&sink](const Event& e) { consume(sink, e); });
   return n;
 }
 
-// Self-rescheduling engine-sized closure (the steady-state shape: every
-// handled event schedules its successor with a fresh closure).
-struct ChurnStep {
-  EventQueue* q;
-  std::uint64_t* sink;
-  std::uint64_t salt;
-  void operator()() const {
-    ++*sink;
-    q->scheduleAfter(1 + static_cast<Time>((*sink + salt) % 7),
-                     ChurnStep{q, sink, salt});
-  }
-};
-
-/// One pass: a `window`-event population handling 2^16 events.
+/// One pass: a `window`-event population handling 2^16 events.  Every
+/// handled event schedules its successor (the steady-state shape), its
+/// payload a salt for the successor's delay.
 std::uint64_t churn(std::uint64_t window, std::uint64_t& sink) {
   constexpr std::uint64_t kEvents = 1 << 16;
   EventQueue q;
   for (std::uint64_t i = 0; i < window; ++i) {
-    q.schedule(mixTime(i), ChurnStep{&q, &sink, i});
+    q.schedule(mixTime(i), delivery(i, i));
   }
-  q.run(ammb::kTimeNever, kEvents);
+  q.run(
+      [&q, &sink](const Event& e) {
+        ++sink;
+        const auto salt = static_cast<std::uint64_t>(e.payload);
+        q.schedule(q.now() + 1 + static_cast<Time>((sink + salt) % 7), e);
+      },
+      ammb::kTimeNever, kEvents);
   return kEvents;
 }
 
@@ -89,13 +87,13 @@ std::uint64_t cancelHeavy(std::uint64_t n, std::uint64_t& sink) {
   std::vector<std::uint64_t> handles;
   handles.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    handles.push_back(q.schedule(mixTime(i), EnginePayload{&sink, i, i}));
+    handles.push_back(q.schedule(mixTime(i), delivery(i, i)));
   }
   // Cancel three quarters; the kernel removes them in place.
   for (std::uint64_t i = 0; i < n; ++i) {
     if (i % 4 != 0) q.cancel(handles[static_cast<std::size_t>(i)]);
   }
-  q.run();
+  q.run([&sink](const Event& e) { consume(sink, e); });
   return 2 * n;
 }
 

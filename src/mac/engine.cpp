@@ -66,8 +66,6 @@ TimerId Context::setTimerAfter(Time delay) {
   return layer_.apiSetTimer(node_, layer_.now() + delay);
 }
 
-bool Context::cancelTimer(TimerId id) { return layer_.apiCancelTimer(id); }
-
 void Context::abortBcast() { layer_.apiAbort(node_); }
 
 // ---------------------------------------------------------------------------
@@ -121,36 +119,20 @@ MacEngine::MacEngine(std::optional<graph::TopologyView> owned,
   // topology switches before any same-tick delivery/timer fires (those
   // were inserted later and the queue is FIFO within a tick).
   for (int e = 1; e < view_->epochCount(); ++e) {
-    queue_.schedule(view_->epochStart(e), [this, e] { onEpochBoundary(e); });
+    queue_.schedule(view_->epochStart(e), sim::Event{kEpochEvent, kNoNode, e});
   }
 
   // Wake every node at t = 0, in id order, before any environment event.
   for (NodeId v = 0; v < n(); ++v) {
-    queue_.schedule(0, [this, v] {
-      trace_.add({now(), sim::TraceKind::kWake, v, kNoInstance, kNoMsg});
-      Context ctx(*this, v);
-      state(v).process->onWake(ctx);
-    });
+    queue_.schedule(0, sim::Event{kWakeEvent, v, 0});
   }
 }
-
 
 void MacEngine::injectArriveAt(NodeId node, MsgId msg, Time at) {
   checkNode(node);
   AMMB_REQUIRE(msg >= 0, "message ids must be non-negative");
   AMMB_REQUIRE(at >= now(), "cannot inject an arrival in the past");
-  queue_.schedule(at, [this, node, msg] { fireArrive(node, msg); });
-}
-
-void MacEngine::fireArrive(NodeId node, MsgId msg) {
-  trace_.add({now(), sim::TraceKind::kArrive, node, kNoInstance, msg});
-  ++stats_.arrives;
-  // The hook observes the arrival before the process reacts, so solve
-  // trackers register the delivery requirements ahead of the immediate
-  // deliver(m) most protocols emit at the origin.
-  if (arriveHook_) arriveHook_(node, msg, now());
-  Context ctx(*this, node);
-  state(node).process->onArrive(ctx, msg);
+  queue_.schedule(at, sim::Event{kArriveEvent, node, msg});
 }
 
 void MacEngine::setArrivalSource(ArrivalSource source) {
@@ -168,14 +150,56 @@ void MacEngine::scheduleNextArrival() {
   AMMB_REQUIRE(next->msg >= 0, "message ids must be non-negative");
   AMMB_REQUIRE(next->at >= now(),
                "arrival sources must yield nondecreasing times");
-  queue_.schedule(next->at, [this, node = next->node, msg = next->msg] {
-    fireArrive(node, msg);
-    scheduleNextArrival();
-  });
+  queue_.schedule(next->at,
+                  sim::Event{kStreamArriveEvent, next->node, next->msg});
 }
 
 sim::RunStatus MacEngine::run(Time timeLimit, std::uint64_t maxEvents) {
-  return queue_.run(timeLimit, maxEvents);
+  return queue_.run([this](const sim::Event& event) { dispatch(event); },
+                    timeLimit, maxEvents);
+}
+
+// --- events -----------------------------------------------------------------
+
+void MacEngine::dispatch(const sim::Event& event) {
+  const NodeId node = event.node;
+  const std::int64_t payload = event.payload;
+  switch (static_cast<EventKind>(event.kind)) {
+    case kWakeEvent: fireWake(node); return;
+    case kArriveEvent: fireArrive(node, static_cast<MsgId>(payload)); return;
+    case kStreamArriveEvent:
+      fireArrive(node, static_cast<MsgId>(payload));
+      scheduleNextArrival();
+      return;
+    case kDeliveryEvent: onDeliveryEvent(payload, node); return;
+    case kAckEvent: onAckEvent(payload); return;
+    case kTimerEvent: fireTimer(node, payload); return;
+    case kEpochEvent: onEpochBoundary(static_cast<int>(payload)); return;
+    case kDeadlineEvent: guard_.onDeadline(node); return;
+  }
+  AMMB_ASSERT(false);  // every kind is handled above
+}
+
+void MacEngine::fireWake(NodeId node) {
+  trace_.add({now(), sim::TraceKind::kWake, node, kNoInstance, kNoMsg});
+  Context ctx(*this, node);
+  state(node).process->onWake(ctx);
+}
+
+void MacEngine::fireArrive(NodeId node, MsgId msg) {
+  trace_.add({now(), sim::TraceKind::kArrive, node, kNoInstance, msg});
+  ++stats_.arrives;
+  // The hook observes the arrival before the process reacts, so solve
+  // trackers register the delivery requirements ahead of the immediate
+  // deliver(m) most protocols emit at the origin.
+  if (arriveHook_) arriveHook_(node, msg, now());
+  Context ctx(*this, node);
+  state(node).process->onArrive(ctx, msg);
+}
+
+void MacEngine::fireTimer(NodeId node, TimerId id) {
+  Context ctx(*this, node);
+  state(node).process->onTimer(ctx, id);
 }
 
 const InstanceRecord& MacEngine::record(InstanceId id) const {
@@ -258,12 +282,12 @@ void MacEngine::apiBcast(NodeId node, Packet packet) {
 
   inst.reserveFanout(plan.deliveries.size());
   for (const PlannedDelivery& d : plan.deliveries) {
-    const sim::EventHandle h = queue_.schedule(
-        d.at, [this, id, target = d.target] { onDeliveryEvent(id, target); });
+    const sim::EventHandle h =
+        queue_.schedule(d.at, sim::Event{kDeliveryEvent, d.target, id});
     inst.addPending(d.target, d.at, h);
   }
   inst.ackEvent =
-      queue_.schedule(plan.ackAt, [this, id] { onAckEvent(id); });
+      queue_.schedule(plan.ackAt, sim::Event{kAckEvent, kNoNode, id});
 
   ns.current = id;
   // The new instance changes the need set of the sender's G-neighbors.
@@ -287,22 +311,8 @@ TimerId MacEngine::apiSetTimer(NodeId node, Time at) {
   checkNode(node);
   AMMB_REQUIRE(at >= now(), "timers cannot fire in the past");
   const TimerId id = nextTimer_++;
-  const sim::EventHandle h = queue_.schedule(at, [this, node, id] {
-    timers_.erase(id);
-    Context ctx(*this, node);
-    state(node).process->onTimer(ctx, id);
-  });
-  timers_.emplace(id, h);
+  queue_.schedule(at, sim::Event{kTimerEvent, node, id});
   return id;
-}
-
-bool MacEngine::apiCancelTimer(TimerId id) {
-  requireEnhanced("Context::cancelTimer");
-  auto it = timers_.find(id);
-  if (it == timers_.end()) return false;
-  queue_.cancel(it->second);
-  timers_.erase(it);
-  return true;
 }
 
 void MacEngine::apiAbort(NodeId node) {

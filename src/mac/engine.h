@@ -21,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -229,13 +228,29 @@ class MacEngine : public MacLayer {
   bool apiBusy(NodeId node) const override;
   void apiDeliver(NodeId node, MsgId msg) override;
   TimerId apiSetTimer(NodeId node, Time at) override;
-  bool apiCancelTimer(TimerId id) override;
   void apiAbort(NodeId node) override;
   void requireEnhanced(const char* api) const override;
   Rng& nodeRng(NodeId node) override;
 
-  // Internal machinery ----------------------------------------------------
+  // Events ----------------------------------------------------------------
+  /// What a queued sim::Event does, one kind per place that schedules
+  /// one.  Its node and payload fields carry the operands named here.
+  enum EventKind : std::uint8_t {
+    kWakeEvent,          ///< node
+    kArriveEvent,        ///< node, payload = msg (injectArriveAt)
+    kStreamArriveEvent,  ///< node, payload = msg; pulls the next one
+    kDeliveryEvent,      ///< node = receiver, payload = instance
+    kAckEvent,           ///< payload = instance
+    kTimerEvent,         ///< node, payload = timer id
+    kEpochEvent,         ///< payload = epoch (node is kNoNode)
+    kDeadlineEvent,      ///< node = receiver; posted by ProgressGuard
+  };
+  void dispatch(const sim::Event& event);
+  void fireWake(NodeId node);
   void fireArrive(NodeId node, MsgId msg);
+  void fireTimer(NodeId node, TimerId id);
+
+  // Internal machinery ----------------------------------------------------
   void scheduleNextArrival();
   /// True if `plan` is legal for `instance`: one pass over the windows,
   /// then merges of the sorted targets against the adjacency spans.
@@ -293,7 +308,6 @@ class MacEngine : public MacLayer {
   DeliverHook deliverHook_;
   ArriveHook arriveHook_;
   ArrivalSource arrivalSource_;
-  std::unordered_map<TimerId, sim::EventHandle> timers_;
   TimerId nextTimer_ = 1;
 
   /// Scratch: sorted receiver ids for planIsLegal and validatePlan

@@ -47,7 +47,6 @@ class MacLayer {
   virtual bool apiBusy(NodeId node) const = 0;
   virtual void apiDeliver(NodeId node, MsgId msg) = 0;
   virtual TimerId apiSetTimer(NodeId node, Time at) = 0;
-  virtual bool apiCancelTimer(TimerId id) = 0;
   virtual void apiAbort(NodeId node) = 0;
   virtual void requireEnhanced(const char* api) const = 0;
   virtual Rng& nodeRng(NodeId node) = 0;

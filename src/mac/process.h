@@ -65,8 +65,6 @@ class Context {
   TimerId setTimerAt(Time at);
   /// Schedules an onTimer callback after `delay` ticks (>= 0).
   TimerId setTimerAfter(Time delay);
-  /// Cancels a pending timer; returns false if it already fired.
-  bool cancelTimer(TimerId id);
   /// Aborts the broadcast in progress.  Throws if not busy.
   /// Enhanced model only.
   void abortBcast();

@@ -105,8 +105,8 @@ void ProgressGuard::commit(NodeId receiver, Time t) {
   const Time deadline = t + engine_.params().fprog;
   if (st.armedDeadline == deadline) return;
   st.armedDeadline = deadline;
-  engine_.queue_.schedule(deadline,
-                          [this, receiver] { onDeadline(receiver); });
+  engine_.queue_.schedule(
+      deadline, sim::Event{MacEngine::kDeadlineEvent, receiver, 0});
 }
 
 void ProgressGuard::onDeadline(NodeId receiver) {

@@ -96,6 +96,10 @@ class ProgressGuard {
   /// re-arms or stands down its deadline.
   void recompute(NodeId receiver);
 
+  /// Runs a deadline event that commit() posted for `receiver`; the
+  /// engine's dispatch calls it when the event is reached.
+  void onDeadline(NodeId receiver);
+
  private:
   /// One live instance's window of obligated starts, [lo, hi].
   struct Need {
@@ -120,9 +124,6 @@ class ProgressGuard {
   /// earliestUncovered() result.  Scheduling a deadline consumes an
   /// event sequence number, so callers keep a fixed receiver order.
   void commit(NodeId receiver, Time earliestUncovered);
-
-  /// Fires when a deadline event scheduled for `receiver` is reached.
-  void onDeadline(NodeId receiver);
 
   MacEngine& engine_;
   std::vector<State> states_;

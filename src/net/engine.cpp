@@ -517,20 +517,15 @@ TimerId NetEngine::apiSetTimer(NodeId node, Time at) {
   checkNode(node);
   AMMB_REQUIRE(at >= nowTicks(), "timers cannot fire in the past");
   const TimerId id = nextTimer_++;
-  activeTimers_.insert(id);
+  ++pendingTimers_;
   scheduleTask(at * config_.backend.tickUs, [this, node, id] {
     if (stopping_) return;
-    if (activeTimers_.erase(id) == 0) return;  // cancelled meanwhile
+    --pendingTimers_;
     mac::Context ctx(*this, node);
     nodes_[static_cast<std::size_t>(node)].process->onTimer(ctx, id);
     countEvent();
   });
   return id;
-}
-
-bool NetEngine::apiCancelTimer(TimerId id) {
-  requireEnhanced("Context::cancelTimer");
-  return activeTimers_.erase(id) > 0;
 }
 
 void NetEngine::apiAbort(NodeId node) {
@@ -618,7 +613,7 @@ void NetEngine::countEvent() {
 void NetEngine::maybeDrain() {
   if (drained_ || stopping_) return;
   if (arrivalsExhausted_ && !arrivalPending_ && openInstances_ == 0 &&
-      totalOutstanding_ == 0 && activeTimers_.empty()) {
+      totalOutstanding_ == 0 && pendingTimers_ == 0) {
     drained_ = true;
     cv_.notify_all();
   }

@@ -175,7 +175,6 @@ class NetEngine final : public mac::MacLayer {
   bool apiBusy(NodeId node) const override;
   void apiDeliver(NodeId node, MsgId msg) override;
   TimerId apiSetTimer(NodeId node, Time at) override;
-  bool apiCancelTimer(TimerId id) override;
   void apiAbort(NodeId node) override;
   void requireEnhanced(const char* api) const override;
   Rng& nodeRng(NodeId node) override;
@@ -228,7 +227,8 @@ class NetEngine final : public mac::MacLayer {
   std::vector<NodeState> nodes_;
   std::vector<NetInstance> instances_;
   std::unordered_map<std::uint64_t, LinkState> links_;  ///< key from<<32|to
-  std::unordered_set<TimerId> activeTimers_;
+  /// Timers set and not yet fired (the drain check waits for them).
+  std::size_t pendingTimers_ = 0;
   TimerId nextTimer_ = 1;
 
   DeliverHook deliverHook_;

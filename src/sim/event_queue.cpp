@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <utility>
-
 namespace ammb::sim {
 
 const char* toString(RunStatus status) {
@@ -23,12 +21,11 @@ std::uint32_t EventQueue::acquireSlot() {
   // Heap indices live below kInWheel in SlotMeta::pos.
   AMMB_REQUIRE(meta_.size() < kInWheel, "event slot pool exhausted");
   meta_.emplace_back();
-  fns_.emplace_back();
+  events_.emplace_back();
   return static_cast<std::uint32_t>(meta_.size() - 1);
 }
 
 void EventQueue::releaseSlot(std::uint32_t slot) {
-  fns_[slot] = nullptr;
   SlotMeta& m = meta_[slot];
   m.pos = kFree;
   // The generation bump invalidates every outstanding handle to this
@@ -161,11 +158,10 @@ void EventQueue::popRoot() {
 
 // --- public -----------------------------------------------------------------
 
-EventHandle EventQueue::schedule(Time at, EventFn fn) {
+EventHandle EventQueue::schedule(Time at, Event event) {
   AMMB_REQUIRE(at >= now_, "cannot schedule an event in the past");
-  AMMB_REQUIRE(fn != nullptr, "event function must not be null");
   const std::uint32_t slot = acquireSlot();
-  fns_[slot] = std::move(fn);
+  events_[slot] = event;
   // at - now_ cannot overflow: both are non-negative.
   if (at - now_ < kWheelTicks) {
     wheelAppend(slot, bucketOf(at));
@@ -191,33 +187,19 @@ bool EventQueue::cancel(EventHandle handle) {
   return true;
 }
 
-RunStatus EventQueue::run(Time timeLimit, std::uint64_t maxEvents) {
-  stopRequested_ = false;
-  std::uint64_t executed = 0;
-  while (true) {
-    if (stopRequested_) return RunStatus::kStopped;
-    Time at = 0;
-    if (wheelCount_ != 0) {
-      at = now_ + wheelDistance();
-    } else if (!heap_.empty()) {
-      at = heap_[0].at;
-    } else {
-      return RunStatus::kDrained;
-    }
-    if (at > timeLimit) return RunStatus::kTimeLimit;
-    if (executed >= maxEvents) return RunStatus::kEventLimit;
-    if (at != now_) advanceTo(at);
-    // Move the callable out and retire the slot before invoking, so the
-    // callback may freely schedule (growing the pool) or cancel.
-    const std::uint32_t slot = buckets_[bucketOf(at)].head;
-    AMMB_DCHECK(slot != kNil);
-    wheelUnlink(slot);
-    EventFn fn = std::move(fns_[slot]);
-    releaseSlot(slot);
-    ++processed_;
-    ++executed;
-    fn();
-  }
+Time EventQueue::nextTime() const {
+  return wheelCount_ != 0 ? now_ + wheelDistance() : heap_[0].at;
+}
+
+Event EventQueue::popAt(Time at) {
+  if (at != now_) advanceTo(at);
+  const std::uint32_t slot = buckets_[bucketOf(at)].head;
+  AMMB_DCHECK(slot != kNil);
+  const Event event = events_[slot];
+  wheelUnlink(slot);
+  releaseSlot(slot);
+  ++processed_;
+  return event;
 }
 
 }  // namespace ammb::sim

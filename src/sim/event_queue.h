@@ -1,16 +1,18 @@
 // Deterministic discrete-event kernel.
 //
-// Events carry an integer timestamp and execute in (time, insertion
-// sequence) order, so executions are bit-reproducible: two events at the
-// same tick run in the order they were scheduled.  Zero-delay event
-// chains (the "no time passes" extensions used throughout the paper's
-// lower-bound constructions) are expressed by scheduling at `now()`.
+// An event is plain data: a 16-byte Event of a kind byte, a node and a
+// 64-bit payload.  The queue stores it and hands it back unchanged, in
+// (time, insertion sequence) order, to the dispatch function given to
+// run(); only that function gives the fields a meaning.  So executions
+// are bit-reproducible: two events at the same tick run in the order
+// they were scheduled.  Zero-delay event chains (the "no time passes"
+// extensions used throughout the paper's lower-bound constructions) are
+// expressed by scheduling at `now()`.
 //
 // Storage is a slot pool plus a time wheel with a heap behind it:
 //
 //   * each pending event lives in a pooled slot; freed slots are reused,
-//     so steady-state scheduling performs no allocation (the callable
-//     itself is an EventFn with inline storage);
+//     so steady-state scheduling performs no allocation;
 //   * handles are generation-tagged slot references, so cancel() is a
 //     true removal — no tombstones, no lazy reaping — and a stale handle
 //     (event already ran or was cancelled) is rejected in O(1);
@@ -41,13 +43,24 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
 #include "common/types.h"
-#include "sim/event_fn.h"
 
 namespace ammb::sim {
+
+/// A pending event.  The queue gives no field a meaning; the dispatch
+/// function passed to EventQueue::run interprets all three.
+struct Event {
+  std::uint8_t kind = 0;
+  NodeId node = kNoNode;
+  std::int64_t payload = 0;
+};
+static_assert(sizeof(Event) == 16, "four events to a cache line");
+static_assert(std::is_trivially_copyable_v<Event>,
+              "storing or dropping an event is a plain copy or nothing");
 
 /// Handle used to cancel a scheduled event.  Encodes (generation, slot);
 /// 0 is never a valid handle.
@@ -78,26 +91,33 @@ class EventQueue {
   /// Current simulated time.  Starts at 0.
   Time now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (>= now()).  Returns a handle
-  /// usable with cancel().
-  EventHandle schedule(Time at, EventFn fn);
-
-  /// Schedules `fn` after `delay` (>= 0) ticks.
-  EventHandle scheduleAfter(Time delay, EventFn fn) {
-    AMMB_REQUIRE(delay >= 0, "event delay must be non-negative");
-    return schedule(now_ + delay, std::move(fn));
-  }
+  /// Schedules `event` at absolute time `at` (>= now()).  Returns a
+  /// handle usable with cancel().
+  EventHandle schedule(Time at, Event event);
 
   /// Cancels a pending event.  Returns false if the event already ran
   /// or was cancelled.
   bool cancel(EventHandle handle);
 
-  /// Runs events until drained, stopped, past `timeLimit`, or after
-  /// `maxEvents` events.  Time advances to each event's timestamp; when
-  /// the limit interrupts the run, now() stays at the last executed
-  /// event's time.
-  RunStatus run(Time timeLimit = kTimeNever,
-                std::uint64_t maxEvents = 250'000'000);
+  /// Hands each pending event to `dispatch(const Event&)`, in order,
+  /// until drained, stopped, past `timeLimit`, or after `maxEvents`
+  /// events.  Time advances to each event's timestamp before its
+  /// dispatch, which may freely schedule or cancel; when a limit
+  /// interrupts the run, now() stays at the last dispatched event's
+  /// time.
+  template <typename Dispatch>
+  RunStatus run(Dispatch&& dispatch, Time timeLimit = kTimeNever,
+                std::uint64_t maxEvents = 250'000'000) {
+    stopRequested_ = false;
+    for (std::uint64_t executed = 0;; ++executed) {
+      if (stopRequested_) return RunStatus::kStopped;
+      if (pendingCount() == 0) return RunStatus::kDrained;
+      const Time at = nextTime();
+      if (at > timeLimit) return RunStatus::kTimeLimit;
+      if (executed >= maxEvents) return RunStatus::kEventLimit;
+      dispatch(popAt(at));
+    }
+  }
 
   /// Asks a run in progress to stop after the current event.
   void requestStop() { stopRequested_ = true; }
@@ -124,8 +144,8 @@ class EventQueue {
   static constexpr std::uint32_t kInWheel = 0x80000000u;
 
   // Slot storage is split hot/cold: linking, unlinking and sifting
-  // touch only this dense 16-byte-per-slot array, while the fat
-  // callable is touched once per schedule/execute.
+  // touch only this dense 16-byte-per-slot array, while the event
+  // itself is touched once per schedule/execute.
   struct SlotMeta {
     std::uint32_t generation = 0;
     std::uint32_t pos = kFree;
@@ -167,6 +187,11 @@ class EventQueue {
   /// Sets now() to `at` and moves every heap event below the new
   /// horizon into its bucket.
   void advanceTo(Time at);
+  /// Time of the earliest pending event.  Requires pendingCount() > 0.
+  Time nextTime() const;
+  /// Advances to `at`, the nextTime() result, and retires the first
+  /// event there, so its dispatch may reuse the slot.
+  Event popAt(Time at);
 
   void heapPush(Time at, std::uint32_t slot);
   void heapRemoveAt(std::uint32_t pos);
@@ -183,7 +208,7 @@ class EventQueue {
   std::size_t wheelCount_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<SlotMeta> meta_;
-  std::vector<EventFn> fns_;
+  std::vector<Event> events_;
   std::vector<std::uint32_t> freeSlots_;
   Time now_ = 0;
   std::uint64_t nextSeq_ = 1;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "check/golden.h"
 #include "core/bmmb.h"
@@ -354,27 +356,23 @@ TEST(MacEngine, AbortCancelsLateDeliveries) {
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
-TEST(MacEngine, TimersFireAndCancel) {
+TEST(MacEngine, TimersFire) {
   const auto topo = gen::identityDual(gen::line(2));
   class TimerUser : public Process {
    public:
     void onWake(Context& ctx) override {
       if (ctx.id() != 0) return;
-      keep_ = ctx.setTimerAfter(5);
-      drop_ = ctx.setTimerAfter(7);
-      EXPECT_TRUE(ctx.cancelTimer(drop_));
-      EXPECT_FALSE(ctx.cancelTimer(drop_));
+      timer_ = ctx.setTimerAfter(5);
     }
     void onTimer(Context& ctx, TimerId id) override {
-      EXPECT_EQ(id, keep_);
+      EXPECT_EQ(id, timer_);
       EXPECT_EQ(ctx.now(), 5);
       ++fires_;
     }
     int fires_ = 0;
 
    private:
-    TimerId keep_ = kNoTimer;
-    TimerId drop_ = kNoTimer;
+    TimerId timer_ = kNoTimer;
   };
   TimerUser* p0 = nullptr;
   MacEngine engine(topo, enhParams(), std::make_unique<FastScheduler>(),
@@ -387,6 +385,54 @@ TEST(MacEngine, TimersFireAndCancel) {
   engine.run();
   ASSERT_NE(p0, nullptr);
   EXPECT_EQ(p0->fires_, 1);
+}
+
+/// Timers set and fired, as (time, node, id), across all nodes.
+struct TimerLog {
+  std::vector<TimerId> set;
+  std::vector<std::tuple<Time, NodeId, TimerId>> fired;
+};
+
+/// Sets two timers for t = 5 at wake (node 0 first sets one for
+/// t = 1000), and one more for the current tick when timer 2 fires.
+class TimerSetter : public Process {
+ public:
+  explicit TimerSetter(TimerLog& log) : log_(log) {}
+  void onWake(Context& ctx) override {
+    if (ctx.id() == 0) log_.set.push_back(ctx.setTimerAfter(1000));
+    log_.set.push_back(ctx.setTimerAfter(5));
+    log_.set.push_back(ctx.setTimerAt(5));
+  }
+  void onTimer(Context& ctx, TimerId id) override {
+    log_.fired.emplace_back(ctx.now(), ctx.id(), id);
+    if (id == 2) log_.set.push_back(ctx.setTimerAfter(0));
+  }
+
+ private:
+  TimerLog& log_;
+};
+
+TEST(MacEngine, TimerIdsCountUpAndSameTickTimersFireInSetOrder) {
+  // FMMB's traces name its timers, so ids count up from 1 across all
+  // nodes in the order they are set.  Timers due on one tick fire in
+  // that order too, and one due far beyond Fack fires on its tick.
+  const auto topo = gen::identityDual(gen::line(3));
+  TimerLog log;
+  MacEngine engine(topo, enhParams(), std::make_unique<FastScheduler>(),
+                   [&log](NodeId) { return std::make_unique<TimerSetter>(log); },
+                   1);
+  EXPECT_EQ(engine.run(), sim::RunStatus::kDrained);
+  EXPECT_EQ(log.set, (std::vector<TimerId>{1, 2, 3, 4, 5, 6, 7, 8}));
+  using Fire = std::tuple<Time, NodeId, TimerId>;
+  EXPECT_EQ(log.fired, (std::vector<Fire>{{5, 0, 2},
+                                          {5, 0, 3},
+                                          {5, 1, 4},
+                                          {5, 1, 5},
+                                          {5, 2, 6},
+                                          {5, 2, 7},
+                                          {5, 0, 8},
+                                          {1000, 0, 1}}));
+  EXPECT_EQ(engine.now(), 1000);
 }
 
 TEST(MacEngine, EnhancedContextExposesConstants) {

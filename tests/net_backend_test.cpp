@@ -1,14 +1,16 @@
 // The real UDP message-passing backend, bottom to top: the
 // ExecutionBackend label codec, the wire format, the deterministic
-// fault plan, engine lifecycle (immediate drain), and the loopback
-// end-to-end acceptance bar — BMMB on a 16-node line with injected
-// loss solves MMB over real sockets, its recorded trace passes
-// checkTrace and the full oracle suite under phys::measureRealized
-// fitted bounds, and an injected ack delay beyond a cleanly fitted
-// Fack is flagged by the checker.
+// fault plan, engine lifecycle (immediate drain, and no drain while a
+// timer is pending), and the loopback end-to-end acceptance bar — BMMB
+// on a 16-node line with injected loss solves MMB over real sockets,
+// its recorded trace passes checkTrace and the full oracle suite under
+// phys::measureRealized fitted bounds, and an injected ack delay beyond
+// a cleanly fitted Fack is flagged by the checker.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "check/oracles.h"
 #include "core/backend.h"
@@ -205,6 +207,45 @@ TEST(NetBackendEngine, IdleSystemDrainsImmediately) {
   }
   EXPECT_EQ(engine.stats().bcasts, 0u);
   EXPECT_EQ(engine.now(), engine.now());  // frozen after the run
+}
+
+// A timer still pending holds off the drain: the run ends only after
+// the last timer fires, here one set by the first timer's own firing.
+TEST(NetBackendEngine, PendingTimersHoldOffTheDrain) {
+  const graph::DualGraph topology = gen::identityDual(gen::line(2));
+  const graph::TopologyView view(topology);
+  class TimerChain : public mac::Process {
+   public:
+    void onWake(mac::Context& ctx) override {
+      if (ctx.id() == 0) set_.push_back(ctx.setTimerAfter(20));
+    }
+    void onTimer(mac::Context& ctx, TimerId id) override {
+      fired_.emplace_back(id, ctx.now());
+      if (fired_.size() == 1) set_.push_back(ctx.setTimerAfter(10));
+    }
+    std::vector<TimerId> set_;
+    std::vector<std::pair<TimerId, Time>> fired_;
+  };
+  TimerChain* p0 = nullptr;
+  net::NetConfig config;
+  config.backend.tickUs = 100;
+  net::NetEngine engine(view, testutil::enhParams(4, 32),
+                        [&p0](NodeId node) {
+                          auto p = std::make_unique<TimerChain>();
+                          if (node == 0) p0 = p.get();
+                          return p;
+                        },
+                        config);
+  EXPECT_EQ(engine.run(/*timeLimit=*/50'000), sim::RunStatus::kDrained);
+  ASSERT_NE(p0, nullptr);
+  EXPECT_EQ(p0->set_, (std::vector<TimerId>{1, 2}));
+  ASSERT_EQ(p0->fired_.size(), 2u);
+  EXPECT_EQ(p0->fired_[0].first, 1);
+  EXPECT_EQ(p0->fired_[1].first, 2);
+  // A timer fires no earlier than its tick of wall clock.
+  EXPECT_GE(p0->fired_[0].second, 20);
+  EXPECT_GE(p0->fired_[1].second, p0->fired_[0].second + 10);
+  EXPECT_GE(engine.now(), p0->fired_[1].second);
 }
 
 // The engine checks its knobs once, with NetBackendParams::validate();

@@ -3,11 +3,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <set>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,8 +19,29 @@
 namespace ammb::sim {
 namespace {
 
+/// A queue whose events run closures: each event's payload is its
+/// closure's index in a deque, which keeps a running closure in place
+/// while it schedules more.
+class ClosureQueue : public EventQueue {
+ public:
+  EventHandle schedule(Time at, std::function<void()> fn) {
+    fns_.push_back(std::move(fn));
+    const auto index = static_cast<std::int64_t>(fns_.size() - 1);
+    return EventQueue::schedule(at, Event{0, kNoNode, index});
+  }
+  RunStatus run(Time timeLimit = kTimeNever,
+                std::uint64_t maxEvents = 250'000'000) {
+    return EventQueue::run(
+        [this](const Event& e) { fns_[static_cast<std::size_t>(e.payload)](); },
+        timeLimit, maxEvents);
+  }
+
+ private:
+  std::deque<std::function<void()>> fns_;
+};
+
 TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
+  ClosureQueue q;
   std::vector<int> order;
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
@@ -30,7 +52,7 @@ TEST(EventQueue, RunsInTimeOrder) {
 }
 
 TEST(EventQueue, SameTickFollowsInsertionOrder) {
-  EventQueue q;
+  ClosureQueue q;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
     q.schedule(5, [&order, i] { order.push_back(i); });
@@ -40,54 +62,67 @@ TEST(EventQueue, SameTickFollowsInsertionOrder) {
 }
 
 TEST(EventQueue, CallbacksMaySchedule) {
-  EventQueue q;
+  ClosureQueue q;
   std::vector<Time> times;
   q.schedule(1, [&] {
     times.push_back(q.now());
     q.schedule(5, [&] { times.push_back(q.now()); });
-    q.scheduleAfter(0, [&] { times.push_back(q.now()); });  // same tick
+    q.schedule(q.now(), [&] { times.push_back(q.now()); });  // same tick
   });
   q.run();
   EXPECT_EQ(times, (std::vector<Time>{1, 1, 5}));
 }
 
-TEST(EventQueue, RejectsPastAndNull) {
-  EventQueue q;
+TEST(EventQueue, RejectsPast) {
+  ClosureQueue q;
   q.schedule(10, [] {});
   q.run();
   EXPECT_THROW(q.schedule(5, [] {}), Error);
-  EXPECT_THROW(q.schedule(20, nullptr), Error);
-  EXPECT_THROW(q.scheduleAfter(-1, [] {}), Error);
-  // A null function pointer is rejected at schedule time, not when the
-  // event fires.
-  void (*nullFp)() = nullptr;
-  EXPECT_THROW(q.schedule(20, nullFp), Error);
-  // Only trivially copyable callables convert: a std::function, which
-  // may own anything, does not compile.
-  static_assert(std::is_constructible_v<EventFn, void (*)()>);
-  static_assert(!std::is_constructible_v<EventFn, std::function<void()>>);
-  // Captures of up to 24 bytes, the timer's [this, node, id], convert; a
-  // 32-byte one does not.
-  struct Ids24 {
-    void* self;
-    std::int64_t a, b;
+}
+
+TEST(EventQueue, HandsBackEachEventVerbatim) {
+  // The queue gives no field a meaning, so every extreme must come back
+  // field for field: the engine's epoch events carry kNoNode, and its
+  // instance and timer ids are 64-bit.  One copy of each goes straight
+  // into the wheel from t = 0 (at 5) and from t = 900 (at 1000); one goes
+  // into the heap from t = 0 (at 1000), so it runs ahead of the second.
+  using Got = std::tuple<Time, int, NodeId, std::int64_t>;
+  std::vector<Event> events;
+  for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{255}}) {
+    for (const NodeId node : {kNoNode, std::numeric_limits<NodeId>::max()}) {
+      for (const std::int64_t payload :
+           {std::numeric_limits<std::int64_t>::min(), std::int64_t{-1},
+            std::numeric_limits<std::int64_t>::max()}) {
+        events.push_back(Event{kind, node, payload});
+      }
+    }
+  }
+  EventQueue q;
+  std::vector<Got> got;
+  const auto note = [&](const Event& e) {
+    got.emplace_back(q.now(), e.kind, e.node, e.payload);
   };
-  struct Ids32 {
-    void* self;
-    std::int64_t a, b, c;
+  std::vector<Got> expected;
+  const auto expect = [&](Time at) {
+    for (const Event& e : events) {
+      expected.emplace_back(at, e.kind, e.node, e.payload);
+    }
   };
-  [[maybe_unused]] const auto fits = [ids = Ids24{}] { (void)ids; };
-  [[maybe_unused]] const auto tooBig = [ids = Ids32{}] { (void)ids; };
-  using Fits = std::decay_t<decltype(fits)>;
-  using TooBig = std::decay_t<decltype(tooBig)>;
-  static_assert(sizeof(Fits) == 24 && std::is_trivially_copyable_v<Fits>);
-  static_assert(sizeof(TooBig) == 32 && std::is_trivially_copyable_v<TooBig>);
-  static_assert(std::is_constructible_v<EventFn, Fits>);
-  static_assert(!std::is_constructible_v<EventFn, TooBig>);
+  for (const Event& e : events) q.schedule(1000, e);  // the heap
+  for (const Event& e : events) q.schedule(5, e);     // the wheel
+  q.schedule(900, Event{7, 3, 9});
+  expect(5);
+  expected.emplace_back(900, 7, 3, 9);
+  EXPECT_EQ(q.run(note, 900), RunStatus::kTimeLimit);
+  for (const Event& e : events) q.schedule(1000, e);  // the wheel
+  expect(1000);
+  expect(1000);
+  EXPECT_EQ(q.run(note), RunStatus::kDrained);
+  EXPECT_EQ(got, expected);
 }
 
 TEST(EventQueue, Cancel) {
-  EventQueue q;
+  ClosureQueue q;
   int hits = 0;
   const EventHandle h = q.schedule(10, [&] { ++hits; });
   q.schedule(20, [&] { ++hits; });
@@ -101,7 +136,7 @@ TEST(EventQueue, Cancel) {
 TEST(EventQueue, PendingCountExcludesCancelled) {
   // Regression: the seed kernel used lazy tombstones, so cancelled
   // events were still reported as pending until reaped by run().
-  EventQueue q;
+  ClosureQueue q;
   const EventHandle a = q.schedule(10, [] {});
   q.schedule(20, [] {});
   q.schedule(30, [] {});
@@ -114,14 +149,14 @@ TEST(EventQueue, PendingCountExcludesCancelled) {
 }
 
 TEST(EventQueue, CancelAfterExecutionFails) {
-  EventQueue q;
+  ClosureQueue q;
   const EventHandle h = q.schedule(5, [] {});
   q.run();
   EXPECT_FALSE(q.cancel(h));
 }
 
 TEST(EventQueue, StaleHandleDoesNotCancelReusedSlot) {
-  EventQueue q;
+  ClosureQueue q;
   int hits = 0;
   const EventHandle a = q.schedule(10, [&] { ++hits; });
   EXPECT_TRUE(q.cancel(a));
@@ -135,7 +170,7 @@ TEST(EventQueue, StaleHandleDoesNotCancelReusedSlot) {
 }
 
 TEST(EventQueue, CancelFromInsideCallback) {
-  EventQueue q;
+  ClosureQueue q;
   int hits = 0;
   const EventHandle later = q.schedule(20, [&] { ++hits; });
   q.schedule(10, [&] { EXPECT_TRUE(q.cancel(later)); });
@@ -146,7 +181,7 @@ TEST(EventQueue, CancelFromInsideCallback) {
 TEST(EventQueue, CancelMiddleKeepsOrder) {
   // Removing an interior heap entry must not disturb (time, insertion)
   // execution order of the survivors.
-  EventQueue q;
+  ClosureQueue q;
   std::vector<int> order;
   std::vector<EventHandle> handles;
   for (int i = 0; i < 32; ++i) {
@@ -169,21 +204,18 @@ TEST(EventQueue, CancelMiddleKeepsOrder) {
 
 TEST(EventQueue, SlotPoolReusesCapacity) {
   // Steady-state churn must recycle slots instead of growing the pool.
-  EventQueue q;
-  struct Chain {
-    EventQueue* q;
-    void operator()() const {
-      if (q->now() < 1000) q->scheduleAfter(1, *this);
-    }
+  ClosureQueue q;
+  std::function<void()> chain = [&] {
+    if (q.now() < 1000) q.schedule(q.now() + 1, chain);
   };
-  q.schedule(0, Chain{&q});
+  q.schedule(0, chain);
   q.run();
   EXPECT_EQ(q.processedCount(), 1001u);
   EXPECT_LE(q.slotCapacity(), 4u);
 }
 
 TEST(EventQueue, TimeLimitStopsBeforeLaterEvents) {
-  EventQueue q;
+  ClosureQueue q;
   int hits = 0;
   q.schedule(10, [&] { ++hits; });
   q.schedule(50, [&] { ++hits; });
@@ -195,7 +227,7 @@ TEST(EventQueue, TimeLimitStopsBeforeLaterEvents) {
 }
 
 TEST(EventQueue, EventAtLimitStillRuns) {
-  EventQueue q;
+  ClosureQueue q;
   int hits = 0;
   q.schedule(20, [&] { ++hits; });
   EXPECT_EQ(q.run(20), RunStatus::kDrained);
@@ -203,7 +235,7 @@ TEST(EventQueue, EventAtLimitStillRuns) {
 }
 
 TEST(EventQueue, RequestStop) {
-  EventQueue q;
+  ClosureQueue q;
   int hits = 0;
   q.schedule(1, [&] {
     ++hits;
@@ -215,15 +247,88 @@ TEST(EventQueue, RequestStop) {
 }
 
 TEST(EventQueue, EventLimit) {
-  EventQueue q;
+  ClosureQueue q;
   // A self-perpetuating chain is cut by the safety cap.
-  struct Loop {
-    EventQueue* q;
-    void operator()() const { q->scheduleAfter(1, *this); }
-  };
-  q.schedule(0, Loop{&q});
+  std::function<void()> loop = [&] { q.schedule(q.now() + 1, loop); };
+  q.schedule(0, loop);
   EXPECT_EQ(q.run(kTimeNever, 100), RunStatus::kEventLimit);
   EXPECT_EQ(q.processedCount(), 100u);
+}
+
+TEST(EventQueue, StopRequestedOutsideARunIsCleared) {
+  // run() drops a stop asked for before it starts; a stop asked for by
+  // an event leaves the rest pending for the next run.
+  EventQueue q;
+  std::vector<std::int64_t> ran;
+  const auto dispatch = [&](const Event& e) {
+    ran.push_back(e.payload);
+    if (e.payload == 1) q.requestStop();
+  };
+  q.schedule(1, Event{0, kNoNode, 1});
+  q.schedule(2, Event{0, kNoNode, 2});
+  q.requestStop();
+  EXPECT_EQ(q.run(dispatch), RunStatus::kStopped);
+  EXPECT_EQ(ran, (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(q.now(), 1);
+  EXPECT_EQ(q.pendingCount(), 1u);
+  EXPECT_EQ(q.run(dispatch), RunStatus::kDrained);
+  EXPECT_EQ(ran, (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(q.now(), 2);
+}
+
+TEST(EventQueue, RunChecksStopThenDrainThenTimeThenEventLimit) {
+  // When several reasons to end a run hold at once, the first in that
+  // order names the status.
+  EventQueue q;
+  int dispatched = 0;
+  const auto count = [&](const Event&) { ++dispatched; };
+  // The last event's stop outranks the drain.
+  q.schedule(3, Event{});
+  EXPECT_EQ(q.run([&](const Event& e) {
+              count(e);
+              q.requestStop();
+            }),
+            RunStatus::kStopped);
+  EXPECT_EQ(q.pendingCount(), 0u);
+  // An empty queue drains whatever its limits.
+  EXPECT_EQ(q.run(count, 0, 0), RunStatus::kDrained);
+  // An event past the time limit outranks a spent event budget.
+  q.schedule(10, Event{});
+  EXPECT_EQ(q.run(count, 9, 0), RunStatus::kTimeLimit);
+  // Inside the time limit, a zero budget dispatches nothing and leaves
+  // now() where it was.
+  EXPECT_EQ(q.run(count, 10, 0), RunStatus::kEventLimit);
+  EXPECT_EQ(q.now(), 3);
+  EXPECT_EQ(dispatched, 1);
+  EXPECT_EQ(q.pendingCount(), 1u);
+  // A budget spent on the last event still drains.
+  EXPECT_EQ(q.run(count, 10, 1), RunStatus::kDrained);
+  EXPECT_EQ(dispatched, 2);
+  EXPECT_EQ(q.now(), 10);
+}
+
+TEST(EventQueue, DispatchFindsItsOwnEventRetired) {
+  // By the time an event is dispatched, it is counted as processed and
+  // its slot is free: its handle cancels nothing, before or after a
+  // follow-up reuses the slot.  The delays grow past the wheel's
+  // horizon, so the chain runs through the heap too.
+  EventQueue q;
+  std::vector<EventHandle> handles;
+  handles.push_back(q.schedule(0, Event{0, kNoNode, 0}));
+  const RunStatus status = q.run([&](const Event& e) {
+    const auto id = static_cast<std::size_t>(e.payload);
+    EXPECT_FALSE(q.cancel(handles[id])) << id;
+    EXPECT_EQ(q.pendingCount(), 0u) << id;
+    EXPECT_EQ(q.processedCount(), id + 1) << id;
+    if (id == 300) return;
+    handles.push_back(q.schedule(q.now() + e.payload,
+                                 Event{0, kNoNode, e.payload + 1}));
+    EXPECT_FALSE(q.cancel(handles[id])) << id;
+  });
+  EXPECT_EQ(status, RunStatus::kDrained);
+  EXPECT_EQ(handles.size(), 301u);
+  EXPECT_EQ(q.now(), 300 * 299 / 2);
+  EXPECT_EQ(q.slotCapacity(), 1u);
 }
 
 // --- the time wheel's horizon -------------------------------------------------
@@ -236,7 +341,7 @@ TEST(EventQueue, HorizonKeepsInsertionOrder) {
   // C (at t = 44, exactly 256 ahead) wait in the heap; B (at t = 100)
   // goes straight into the wheel.  They run in insertion order, so the
   // heap's two must reach their bucket before B does.
-  EventQueue q;
+  ClosureQueue q;
   std::vector<std::pair<char, Time>> ran;
   const auto note = [&](char name) { ran.emplace_back(name, q.now()); };
   q.schedule(300, [&] { note('A'); });
@@ -253,7 +358,7 @@ TEST(EventQueue, HorizonKeepsInsertionOrder) {
 TEST(EventQueue, TimeLimitBeforeAMigrationLeavesNowAlone) {
   // The limit stops the run before it advances to 600, so nothing may
   // move 600 into the wheel yet: 10's horizon still ends at 266.
-  EventQueue q;
+  ClosureQueue q;
   std::vector<Time> ran;
   const auto note = [&] { ran.push_back(q.now()); };
   q.schedule(10, [&] { note(); });
@@ -269,7 +374,7 @@ TEST(EventQueue, TimeLimitBeforeAMigrationLeavesNowAlone) {
 }
 
 TEST(EventQueue, CancelsOnBothSidesOfTheHorizon) {
-  EventQueue q;
+  ClosureQueue q;
   std::vector<int> ran;
   std::vector<EventHandle> h;
   const auto add = [&](Time at) {
@@ -360,22 +465,20 @@ class DifferentialSide {
   std::vector<bool> cancels_;
 };
 
+/// The event queue, with each event's id as its payload.
 class WheelSide : public DifferentialSide {
  public:
   RunStatus run(Time timeLimit, std::uint64_t maxEvents) override {
-    return q_.run(timeLimit, maxEvents);
+    return q_.run(
+        [this](const Event& e) { fire(static_cast<std::uint32_t>(e.payload)); },
+        timeLimit, maxEvents);
   }
   Time now() const override { return q_.now(); }
   std::size_t pending() const override { return q_.pendingCount(); }
 
  protected:
   void scheduleId(Time at, std::uint32_t id) override {
-    struct Fire {
-      WheelSide* side;
-      std::uint32_t id;
-      void operator()() const { side->fire(id); }
-    };
-    handles_.push_back(q_.schedule(at, Fire{this, id}));
+    handles_.push_back(q_.schedule(at, Event{0, kNoNode, id}));
   }
   bool cancelId(std::uint32_t id) override { return q_.cancel(handles_[id]); }
 

@@ -1,7 +1,7 @@
 # Runs the out-of-core trace gate: one checked n = 1e5 grey-zone-field
 # run with the trace spooled to disk and the full streaming checking
 # stack attached, under an enforced peak-RSS ceiling.  The ceiling sits
-# above the streaming path (~370 MiB on the reference host, engine and
+# above the streaming path (~364 MiB on the reference host, engine and
 # checker state included) and below the in-memory-trace path, so the
 # gate fails if checked runs ever go back to holding the event log — or
 # any other O(events) buffer — in memory.  It also sits below a run
