@@ -23,8 +23,12 @@ void DualGraph::validate() const {
                "G and G' must have the same node count");
   AMMB_REQUIRE(g_.finalized() && gPrime_.finalized(),
                "graphs must be finalized before forming a DualGraph");
-  for (const auto& [u, v] : g_.edges()) {
-    AMMB_REQUIRE(gPrime_.hasEdge(u, v), "E must be a subset of E'");
+  for (NodeId u = 0; u < g_.n(); ++u) {
+    const Graph::Span e = g_.neighbors(u);
+    const Graph::Span ePrime = gPrime_.neighbors(u);
+    AMMB_REQUIRE(
+        std::includes(ePrime.begin(), ePrime.end(), e.begin(), e.end()),
+        "E must be a subset of E'");
   }
 }
 

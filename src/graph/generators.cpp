@@ -2,10 +2,99 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
 #include <set>
 #include <utility>
 
 namespace ammb::graph::gen {
+
+namespace {
+
+/// Calls visit(u, v, distance) once for every pair u < v of finite
+/// points within distance c of each other, and for some farther pairs:
+/// all pairs in the same or adjacent cells of a square grid whose side
+/// is at least c.  The scan runs in cell order, so it reads coordinates
+/// from one contiguous copy instead of jumping through `points`.
+template <typename Visit>
+void forEachNearPair(const Embedding& points, double c, Visit&& visit) {
+  // A point with a NaN or infinite coordinate fails every distance
+  // test, so it has no edge and stays out of the grid.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double minX = kInf, maxX = -kInf, minY = kInf, maxY = -kInf;
+  std::vector<std::pair<std::uint64_t, NodeId>> order;  // (cell, point)
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Point2& p = points[i];
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) continue;
+    minX = std::min(minX, p.x);
+    maxX = std::max(maxX, p.x);
+    minY = std::min(minY, p.y);
+    maxY = std::max(maxY, p.y);
+    order.emplace_back(0, static_cast<NodeId>(i));
+  }
+  if (order.empty()) return;
+  // Halved coordinates keep the spread of any finite points finite.  A
+  // side a hair above c keeps rounding from putting two points within c
+  // of each other two cells apart; at most 2^20 cells per axis keep the
+  // cell coordinates that exact and far from integer overflow.
+  constexpr double kMaxCellsPerAxis = 1 << 20;
+  const double halfSpread =
+      std::max(0.5 * maxX - 0.5 * minX, 0.5 * maxY - 0.5 * minY);
+  const double halfSide =
+      std::max(0.5 * c * (1.0 + 1e-9), halfSpread / kMaxCellsPerAxis);
+  const auto cellOf = [halfSide](double v, double lo) {
+    return static_cast<std::uint64_t>((0.5 * v - 0.5 * lo) / halfSide);
+  };
+  const std::uint64_t width = cellOf(maxX, minX) + 1;
+  for (auto& [cell, id] : order) {
+    const Point2& p = points[static_cast<std::size_t>(id)];
+    cell = cellOf(p.y, minY) * width + cellOf(p.x, minX);
+  }
+  std::sort(order.begin(), order.end());
+
+  // The points in cell order; each occupied cell's key and first index.
+  std::vector<Point2> sorted;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::size_t> starts;
+  sorted.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    sorted.push_back(points[static_cast<std::size_t>(order[i].second)]);
+    if (i == 0 || order[i].first != order[i - 1].first) {
+      keys.push_back(order[i].first);
+      starts.push_back(i);
+    }
+  }
+  starts.push_back(order.size());
+  const auto pairCells = [&](std::size_t a, std::size_t b) {
+    for (std::size_t i = starts[a]; i < starts[a + 1]; ++i) {
+      for (std::size_t j = a == b ? i + 1 : starts[b]; j < starts[b + 1];
+           ++j) {
+        const NodeId u = order[i].second;
+        const NodeId v = order[j].second;
+        visit(std::min(u, v), std::max(u, v), distance(sorted[i], sorted[j]));
+      }
+    }
+  };
+  // Each cell pairs with itself, its right neighbor and the three cells
+  // below it, so every adjacent pair of cells meets once.
+  for (std::size_t a = 0; a < keys.size(); ++a) {
+    const std::uint64_t x = keys[a] % width;
+    pairCells(a, a);
+    if (x + 1 < width && a + 1 < keys.size() && keys[a + 1] == keys[a] + 1) {
+      pairCells(a, a + 1);
+    }
+    const std::uint64_t below = keys[a] + width;
+    const std::uint64_t lo = x > 0 ? below - 1 : below;
+    const std::uint64_t hi = x + 1 < width ? below + 1 : below;
+    for (auto it = std::lower_bound(keys.begin() + a + 1, keys.end(), lo);
+         it != keys.end() && *it <= hi; ++it) {
+      pairCells(a, static_cast<std::size_t>(it - keys.begin()));
+    }
+  }
+}
+
+}  // namespace
 
 Graph line(NodeId n) {
   AMMB_REQUIRE(n >= 1, "line requires n >= 1");
@@ -105,20 +194,42 @@ DualGraph greyZoneFromPoints(Embedding points, double c, double pGrey,
   AMMB_REQUIRE(pGrey >= 0.0 && pGrey <= 1.0, "pGrey must be a probability");
   const NodeId n = static_cast<NodeId>(points.size());
   Graph g(n);
-  Graph gp(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      const double d = distance(points[static_cast<std::size_t>(u)],
-                                points[static_cast<std::size_t>(v)]);
-      if (d <= 1.0) {
-        g.addEdge(u, v);
-        gp.addEdge(u, v);
-      } else if (d <= c && rng.bernoulli(pGrey)) {
-        gp.addEdge(u, v);
-      }
+  std::deque<std::pair<NodeId, NodeId>> grey;  // pairs at distance (1, c]
+  forEachNearPair(points, c, [&](NodeId u, NodeId v, double d) {
+    if (d <= 1.0) {
+      g.addEdge(u, v);
+    } else if (d <= c) {
+      grey.emplace_back(u, v);
     }
-  }
+  });
   g.finalize();
+  // Counting sort of the grey pairs by u: afterwards u's partners are
+  // partner[ends[u - 1], ends[u]).
+  std::vector<std::size_t> ends(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [u, v] : grey) ++ends[static_cast<std::size_t>(u) + 1];
+  for (std::size_t i = 1; i < ends.size(); ++i) ends[i] += ends[i - 1];
+  std::vector<NodeId> partner(grey.size());
+  for (const auto& [u, v] : grey) {
+    partner[ends[static_cast<std::size_t>(u)]++] = v;
+  }
+  std::deque<std::pair<NodeId, NodeId>>().swap(grey);
+  // G′ is E plus each grey pair whose coin comes up, one coin per grey
+  // pair in (u, v) order: the order in which a scan over all pairs
+  // meets them.  Adding by ascending u also fills G′'s rows in order.
+  Graph gp(n);
+  std::size_t lo = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : g.neighbors(u)) {
+      if (u < v) gp.addEdge(u, v);
+    }
+    const std::size_t hi = ends[static_cast<std::size_t>(u)];
+    std::sort(partner.begin() + static_cast<std::ptrdiff_t>(lo),
+              partner.begin() + static_cast<std::ptrdiff_t>(hi));
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (rng.bernoulli(pGrey)) gp.addEdge(u, partner[i]);
+    }
+    lo = hi;
+  }
   gp.finalize();
   return DualGraph(std::move(g), std::move(gp), std::move(points));
 }

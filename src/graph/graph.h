@@ -24,12 +24,13 @@ namespace ammb::graph {
 
 /// An undirected simple graph with nodes 0..n-1.
 ///
-/// Built in two phases.  `addEdge` collects per-node neighbor lists;
-/// `finalize()` sorts and deduplicates them, packs them into one CSR
-/// array (n + 1 `uint32` offsets plus the neighbor ids) and frees the
-/// lists.  Adjacency queries need a finalized graph (the generators
-/// finalize for you); the graph cannot gain edges afterwards.
-/// Self-loops are rejected; parallel edges collapse into one.
+/// Built in two phases.  `addEdge` appends the pair to fixed-size
+/// blocks; `finalize()` counts degrees, places every pair into one CSR
+/// array (n + 1 `uint32` offsets plus the neighbor ids), sorts and
+/// deduplicates each row in place and frees the blocks.  Adjacency
+/// queries need a finalized graph (the generators finalize for you);
+/// the graph cannot gain edges afterwards.  Self-loops are rejected;
+/// parallel edges collapse into one.
 class Graph {
  public:
   /// Contiguous sorted neighbor range (C++17 stand-in for std::span).
@@ -56,9 +57,10 @@ class Graph {
   /// idempotent.  Throws once the graph is finalized.
   void addEdge(NodeId u, NodeId v);
 
-  /// Sorts, deduplicates and packs the adjacency; call once after
-  /// building.  A second call is a no-op.  Throws if the graph holds
-  /// more than 2^32 - 1 adjacency entries (the offsets are 32-bit).
+  /// Packs, sorts and deduplicates the adjacency; call once after
+  /// building.  A second call is a no-op.  Throws if the added edges
+  /// make more than 2^32 - 1 adjacency entries, counted before
+  /// duplicates collapse (the offsets are 32-bit).
   void finalize();
 
   /// True after finalize().
@@ -110,8 +112,10 @@ class Graph {
   std::vector<std::pair<NodeId, NodeId>> edges() const;
 
  private:
-  /// Per-node neighbor lists collected by addEdge; freed by finalize().
-  std::vector<std::vector<NodeId>> lists_;
+  /// Edges collected by addEdge, kBlockEdges to a block (32 KiB, so
+  /// each is an ordinary heap allocation); freed by finalize().
+  static constexpr std::size_t kBlockEdges = 4096;
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> blocks_;
   /// CSR offsets (n + 1 entries): u's neighbors are
   /// adj_[offsets_[u], offsets_[u + 1]).
   std::vector<std::uint32_t> offsets_;

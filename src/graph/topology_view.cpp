@@ -1,37 +1,41 @@
 #include "graph/topology_view.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 namespace ammb::graph {
 
 namespace {
 
-using EdgeSet = std::set<std::pair<NodeId, NodeId>>;
+using Edge = std::pair<NodeId, NodeId>;
 
-std::pair<NodeId, NodeId> orient(NodeId u, NodeId v) {
+Edge orient(NodeId u, NodeId v) {
   return u < v ? std::make_pair(u, v) : std::make_pair(v, u);
 }
 
-/// Materializes the epoch topology from the underlying edge sets and
-/// the liveness mask: edges with a dead endpoint are physically absent
-/// from the adjacency, so every downstream consumer (scheduler plans,
-/// the guard, the offline checker) agrees on what "live link" means.
-DualGraph materialize(NodeId n, const EdgeSet& e, const EdgeSet& ePrime,
+/// Materializes the epoch topology from the edge flags over the sorted
+/// universe and the liveness mask: edges with a dead endpoint are
+/// physically absent from the adjacency, so every downstream consumer
+/// (scheduler plans, the guard, the offline checker) agrees on what
+/// "live link" means.
+DualGraph materialize(NodeId n, const std::vector<Edge>& universe,
+                      const std::vector<std::uint8_t>& inE,
+                      const std::vector<std::uint8_t>& inEPrime,
                       const std::vector<std::uint8_t>& alive,
                       const std::optional<Embedding>& embedding) {
   Graph g(n);
   Graph gp(n);
-  const auto bothAlive = [&alive](const std::pair<NodeId, NodeId>& edge) {
-    return alive[static_cast<std::size_t>(edge.first)] != 0 &&
-           alive[static_cast<std::size_t>(edge.second)] != 0;
-  };
-  for (const auto& edge : e) {
-    if (bothAlive(edge)) g.addEdge(edge.first, edge.second);
-  }
-  for (const auto& edge : ePrime) {
-    if (bothAlive(edge)) gp.addEdge(edge.first, edge.second);
+  for (std::size_t i = 0; i < universe.size(); ++i) {
+    // Flags before ids: a pair that only a later, ill-formed event
+    // names may hold an out-of-range id, but it is never flagged.
+    if (inE[i] == 0 && inEPrime[i] == 0) continue;
+    const auto [u, v] = universe[i];
+    if (alive[static_cast<std::size_t>(u)] == 0 ||
+        alive[static_cast<std::size_t>(v)] == 0) {
+      continue;
+    }
+    if (inE[i] != 0) g.addEdge(u, v);
+    if (inEPrime[i] != 0) gp.addEdge(u, v);
   }
   g.finalize();
   gp.finalize();
@@ -68,10 +72,55 @@ TopologyView::TopologyView(const DualGraph& base,
   dynamics.validate();
 
   const NodeId n = base.n();
-  EdgeSet e;
-  EdgeSet ePrime;
-  for (const auto& [u, v] : base.g().edges()) e.insert(orient(u, v));
-  for (const auto& [u, v] : base.gPrime().edges()) ePrime.insert(orient(u, v));
+  // Every pair E or E′ can ever hold: the base E′ plus the pair of each
+  // edge event, sorted and deduplicated.  E and E′ are flags over it.
+  const auto isEdgeEvent = [](const TopologyEvent& ev) {
+    return ev.kind == TopologyEvent::Kind::kEdgeDown ||
+           ev.kind == TopologyEvent::Kind::kEdgeUp;
+  };
+  std::size_t edgeEvents = 0;
+  for (const TopologyEpoch& spec : dynamics.epochs) {
+    edgeEvents += static_cast<std::size_t>(std::count_if(
+        spec.events.begin(), spec.events.end(), isEdgeEvent));
+  }
+  std::vector<Edge> universe;
+  universe.reserve(base.gPrime().edgeCount() + edgeEvents);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : base.gPrime().neighbors(u)) {
+      if (u < v) universe.emplace_back(u, v);
+    }
+  }
+  const auto baseEnd = static_cast<std::ptrdiff_t>(universe.size());
+  for (const TopologyEpoch& spec : dynamics.epochs) {
+    for (const TopologyEvent& ev : spec.events) {
+      if (isEdgeEvent(ev)) universe.push_back(orient(ev.u, ev.v));
+    }
+  }
+  std::sort(universe.begin() + baseEnd, universe.end());
+  std::inplace_merge(universe.begin(), universe.begin() + baseEnd,
+                     universe.end());
+  universe.erase(std::unique(universe.begin(), universe.end()),
+                 universe.end());
+  const auto indexOf = [&universe](NodeId u, NodeId v) {
+    return static_cast<std::size_t>(
+        std::lower_bound(universe.begin(), universe.end(), orient(u, v)) -
+        universe.begin());
+  };
+  // Both base graphs list their edges in universe order.
+  const auto flagsOf = [&universe](const Graph& graph) {
+    std::vector<std::uint8_t> flags(universe.size(), 0);
+    std::size_t i = 0;
+    for (NodeId u = 0; u < graph.n(); ++u) {
+      for (NodeId v : graph.neighbors(u)) {
+        if (u > v) continue;
+        while (universe[i] != Edge{u, v}) ++i;
+        flags[i] = 1;
+      }
+    }
+    return flags;
+  };
+  std::vector<std::uint8_t> inE = flagsOf(base.g());
+  std::vector<std::uint8_t> inEPrime = flagsOf(base.gPrime());
   std::vector<std::uint8_t> alive(static_cast<std::size_t>(n), 1);
 
   const auto checkNode = [n](NodeId u) {
@@ -107,10 +156,11 @@ TopologyView::TopologyView(const DualGraph& base,
         case TopologyEvent::Kind::kEdgeDown: {
           checkNode(ev.u);
           checkNode(ev.v);
-          const auto edge = orient(ev.u, ev.v);
-          AMMB_REQUIRE(ePrime.erase(edge) > 0,
+          const std::size_t i = indexOf(ev.u, ev.v);
+          AMMB_REQUIRE(inEPrime[i] != 0,
                        "dynamics drop of an edge that is not in E'");
-          e.erase(edge);
+          inEPrime[i] = 0;
+          inE[i] = 0;
           touched.push_back(ev.u);
           touched.push_back(ev.v);
           break;
@@ -119,15 +169,15 @@ TopologyView::TopologyView(const DualGraph& base,
           checkNode(ev.u);
           checkNode(ev.v);
           AMMB_REQUIRE(ev.u != ev.v, "dynamics edge must not be a self-loop");
-          const auto edge = orient(ev.u, ev.v);
+          const std::size_t i = indexOf(ev.u, ev.v);
           if (ev.reliable) {
-            e.insert(edge);
+            inE[i] = 1;
           } else {
-            AMMB_REQUIRE(e.count(edge) == 0,
+            AMMB_REQUIRE(inE[i] == 0,
                          "dynamics unreliable edge-up of an edge already "
                          "in E");
           }
-          ePrime.insert(edge);
+          inEPrime[i] = 1;
           touched.push_back(ev.u);
           touched.push_back(ev.v);
           break;
@@ -135,7 +185,7 @@ TopologyView::TopologyView(const DualGraph& base,
       }
     }
     owned_.push_back(std::make_unique<DualGraph>(
-        materialize(n, e, ePrime, alive, base.embedding())));
+        materialize(n, universe, inE, inEPrime, alive, base.embedding())));
     Epoch epoch;
     epoch.start = spec.start;
     epoch.dual = owned_.back().get();
